@@ -1155,20 +1155,6 @@ let bench4_suite_wall_s = 87.390
 let bench5_suite_wall_s = 45.455
 let bench5_suite_jobs = 93
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let pool_json (s : Dae_sim.Runner.pool_stats) =
   Printf.sprintf
     "{ \"domains\": %d, \"wall_s\": %.3f, \"utilization\": %.4f, \
@@ -1218,11 +1204,12 @@ let write_json ~path ~sections ~domains ~wall_s ~pool ~section_stats
       exit 1
   in
   let p fmt = Printf.fprintf oc fmt in
+  let esc = Dae_sim.Trace_export.escape in
   p "{\n";
   p "  \"schema\": \"dae-bench/1\",\n";
   p "  \"sections\": [%s],\n"
     (String.concat ", "
-       (List.map (fun s -> Printf.sprintf "\"%s\"" (json_escape s)) sections));
+       (List.map (fun s -> Printf.sprintf "\"%s\"" (esc s)) sections));
   p "  \"domains\": %d,\n" domains;
   p "  \"jobs\": %d,\n" (List.length outs);
   p "  \"wall_s\": %.3f,\n" wall_s;
@@ -1237,7 +1224,7 @@ let write_json ~path ~sections ~domains ~wall_s ~pool ~section_stats
             Printf.sprintf
               "{ \"section\": \"%s\", \"jobs\": %d, \"sim_wall_s\": %.3f, \
                \"print_wall_s\": %.3f }"
-              (json_escape name) jobs sim_s print_s)
+              (esc name) jobs sim_s print_s)
           section_stats));
   (match !sweep_summaries with
   | [] -> ()
@@ -1256,7 +1243,7 @@ let write_json ~path ~sections ~domains ~wall_s ~pool ~section_stats
               Printf.sprintf
                 "{ \"kernel\": \"%s\", \"mode\": \"%s\", \"sources\": %d, \
                  \"sites\": %d, \"speculative_sites\": %d, \"clean\": %b }"
-                (json_escape kernel) (json_escape mode)
+                (esc kernel) (esc mode)
                 (List.length t.Dae_analysis.Taint.sources)
                 (List.length t.Dae_analysis.Taint.sites)
                 (List.length
@@ -1279,7 +1266,7 @@ let write_json ~path ~sections ~domains ~wall_s ~pool ~section_stats
     String.concat ", "
       (List.map
          (fun (unit, c) ->
-           Printf.sprintf "\"%s\": { %s }" (json_escape unit)
+           Printf.sprintf "\"%s\": { %s }" (esc unit)
              (String.concat ", "
                 (List.filter_map
                    (fun (cause, n) ->
@@ -1301,14 +1288,14 @@ let write_json ~path ~sections ~domains ~wall_s ~pool ~section_stats
          \"stats\": { %s }, \"gc\": { \"minor_words\": %.0f, \
          \"major_words\": %.0f, \"minor_collections\": %d, \
          \"major_collections\": %d }, \"wall_s\": %.6f }%s\n"
-        (json_escape key) (json_escape o.o_kernel) (json_escape o.o_arch)
-        (json_escape o.o_cfg) o.o_cycles o.o_misspec o.o_area_total
+        (esc key) (esc o.o_kernel) (esc o.o_arch)
+        (esc o.o_cfg) o.o_cycles o.o_misspec o.o_area_total
         o.o_area_cu o.o_area_agu o.o_pblk o.o_pcall o.o_killed o.o_committed
         o.o_check_errors o.o_check_warnings
-        (json_escape o.o_sizing_verdict)
+        (esc o.o_sizing_verdict)
         (String.concat ", "
            (List.map
-              (fun (n, d) -> Printf.sprintf "\"%s\": %d" (json_escape n) d)
+              (fun (n, d) -> Printf.sprintf "\"%s\": %d" (esc n) d)
               o.o_min_depths))
         (stats_json o.o_stats) o.o_gc_minor_words o.o_gc_major_words
         o.o_gc_minor_collections o.o_gc_major_collections o.o_wall_s

@@ -92,15 +92,9 @@ let machine_reads arch f ~invocations ~mem =
     r.M.timelines;
   seen
 
-let export_stats keyed =
-  List.map
-    (fun (unit, t) ->
-      (unit, List.map (fun c -> Stats.get t c) Stats.all_causes))
-    keyed
-
 let replay prepared cfg =
   match R.simulate ~validate:false ~cfg prepared with
-  | r -> (Cycles r.M.cycles, Some (export_stats r.M.stats), Some r.M.memory)
+  | r -> (Cycles r.M.cycles, Some (Stats.export r.M.stats), Some r.M.memory)
   | exception Timing.Deadlock _ -> (Deadlock, None, None)
 
 (* the two final memories must agree everywhere except the flipped cell —

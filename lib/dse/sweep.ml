@@ -6,7 +6,7 @@
    executes a single instruction, and a fully cold job executes each
    invocation exactly once for the whole grid. Points carry their full
    stall partition so cached results remain cross-checkable bit-for-bit
-   against a fresh fused simulation. *)
+   against a from-scratch Machine.simulate. *)
 
 open Dae_ir
 module Machine = Dae_sim.Machine
@@ -150,16 +150,6 @@ type point = {
   pt_cached : bool;
 }
 
-(* The complete partition, all causes in declaration order — a canonical
-   form two independent simulations can be compared on bit-for-bit. *)
-let export_stats (keyed : Stats.keyed) =
-  List.map
-    (fun (unit, t) ->
-      ( unit,
-        List.map (fun c -> (Stats.cause_name c, Stats.get t c)) Stats.all_causes
-      ))
-    keyed
-
 (* On-disk payload. The key already pins workload instance, plan digest,
    configuration and engine version; the payload is just the result. *)
 type cached_point = {
@@ -210,8 +200,10 @@ let point_of_cached w arch cfg_key (cp : cached_point) ~cached =
     pt_cached = cached;
   }
 
-(* Replay one swept point through the fused Machine.simulate and compare
-   verdict, cycles, kill/commit counts and the whole stall partition. *)
+(* Recompute one swept point from scratch with Machine.simulate (no plan,
+   no stored traces, no cache) and compare verdict, cycles, kill/commit
+   counts and the whole stall partition — the one check that catches a
+   poisoned cache entry. *)
 let cross_check w (cfg, (pt : point)) =
   let full =
     match
@@ -223,7 +215,7 @@ let cross_check w (cfg, (pt : point)) =
         cp_status = Cycles r.Machine.cycles;
         cp_killed = r.Machine.killed_stores;
         cp_committed = r.Machine.committed_stores;
-        cp_stats = export_stats r.Machine.stats;
+        cp_stats = Stats.export r.Machine.stats;
       }
     | exception Timing.Deadlock _ ->
       { cp_status = Deadlock; cp_killed = 0; cp_committed = 0; cp_stats = [] }
@@ -234,7 +226,7 @@ let cross_check w (cfg, (pt : point)) =
   match (pt.pt_status, full.cp_status) with
   | Deadlock, Deadlock -> Ok ()
   | Cycles a, Cycles b when a <> b ->
-    Error (Fmt.str "%s: re-timed %d cycles, fused %d" where a b)
+    Error (Fmt.str "%s: re-timed %d cycles, fresh %d" where a b)
   | Cycles _, Cycles _ ->
     if pt.pt_killed <> full.cp_killed || pt.pt_committed <> full.cp_committed
     then Error (Fmt.str "%s: kill/commit counts diverge" where)
@@ -242,9 +234,9 @@ let cross_check w (cfg, (pt : point)) =
       Error (Fmt.str "%s: stall partitions diverge" where)
     else Ok ()
   | Cycles c, Deadlock ->
-    Error (Fmt.str "%s: re-timed %d cycles, fused deadlocks" where c)
+    Error (Fmt.str "%s: re-timed %d cycles, fresh deadlocks" where c)
   | Deadlock, Cycles c ->
-    Error (Fmt.str "%s: re-timed deadlocks, fused runs %d cycles" where c)
+    Error (Fmt.str "%s: re-timed deadlocks, fresh runs %d cycles" where c)
 
 let capacities (c : Config.t) =
   ( c.Config.request_fifo_capacity,
@@ -291,7 +283,7 @@ let run_job ~cache ~base ~check ~sizing_check ~cfgs (w, arch) : job_out =
                 cp_status = Cycles r.Machine.cycles;
                 cp_killed = r.Machine.killed_stores;
                 cp_committed = r.Machine.committed_stores;
-                cp_stats = export_stats r.Machine.stats;
+                cp_stats = Stats.export r.Machine.stats;
               }
             | exception Timing.Deadlock _ ->
               {

@@ -15,7 +15,7 @@
     per workload×arch; the grid loop runs inside the job, keeping cache
     and trace locality per domain).
 
-    Trust, but verify: [check] samples per job re-run the full fused
+    Trust, but verify: [check] samples per job re-run a from-scratch
     {!Dae_sim.Machine.simulate} at swept configurations and compare
     cycles, kill/commit counts and the complete stall partition
     bit-for-bit; [sizing_check] cross-validates the static sizing
@@ -134,9 +134,9 @@ val run :
   workload list ->
   t
 (** Sweep the full grid. [check] (default 1) samples that many completed
-    points per (workload, arch) job and replays them through the fused
-    {!Machine.simulate}, comparing cycles, kills/commits and stall
-    partitions exactly; cached points are checked the same way, so a
+    points per (workload, arch) job and recomputes them with a
+    from-scratch {!Machine.simulate}, comparing cycles, kills/commits and
+    stall partitions exactly; cached points are checked the same way, so a
     poisoned cache entry cannot hide. [sizing_check] (default true) runs
     the static sizing analyzer per decoupled job and flags any swept
     deadlock at capacities ≥ the analyzer's minima. *)

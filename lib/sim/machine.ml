@@ -45,92 +45,104 @@ type result = {
 
 exception Check_failed of string
 
-let golden_run (f : Func.t) ~args ~mem = Interp.run f ~args ~mem
+(* --- the steps of a simulation ----------------------------------------- *)
 
-let simulate ?(cfg = Config.default) ?(validate = true)
-    ?(w = Area.default_weights) ?(collect = false) ?(record_mem = false)
-    ?max_cycles ?(partition = Dae_core.Decouple.trivial) ?scheduler
-    (arch : arch) (f : Func.t) ~(invocations : invocation list)
-    ~(mem : Interp.Memory.t) : result =
-  if validate then Config.validate cfg;
-  match arch with
-  | Sta ->
-    let mem = Interp.Memory.copy mem in
-    let cycles = ref 0 in
-    List.iter
-      (fun args ->
-        let golden = golden_run f ~args ~mem in
-        let r = Sta.cycles_of_run ~cfg f golden in
-        cycles := !cycles + r.Sta.cycles)
-      invocations;
-    {
-      arch;
-      cycles = !cycles;
-      invocations = List.length invocations;
-      killed_stores = 0;
-      committed_stores = 0;
-      misspec_rate = 0.0;
-      area = Area.sta ~w f;
-      memory = mem;
-      pipeline = None;
-      (* the single statically-scheduled unit is never idle: modulo
-         scheduling fills every cycle, so the whole run is Busy *)
-      stats = [ ("STA", Stats.of_busy !cycles) ];
-      timelines = [];
-      mem_events = [];
-    }
-  | Dae | Spec | Oracle ->
-    let mode =
-      match arch with
-      | Dae -> Dae_core.Pipeline.Dae
-      | Spec | Oracle -> Dae_core.Pipeline.Spec
-      | Sta -> assert false
-    in
-    let p = Dae_core.Pipeline.compile ~mode ~partition f in
-    let lowered = Lower.compile p in
-    let sim_mem = Interp.Memory.copy mem in
-    let golden_mem = Interp.Memory.copy mem in
-    let cycles = ref 0 in
-    let killed = ref 0 and committed = ref 0 in
-    let stats = ref [] in
-    let timelines = ref [] in
-    let mem_events = ref [] in
-    let inv_index = ref 0 in
-    let subscribers =
-      List.map
-        (fun (m, subs) ->
-          ( m,
+(* [simulate] below streams these steps; Retime folds the same ones over
+   stored traces, so the two drivers cannot drift apart. *)
+
+type lowered = {
+  l_pipeline : Dae_core.Pipeline.t;
+  l_program : Lower.t;
+  l_subscribers : (int * Trace.unit_id list) list;
+}
+
+type compiled = { c_arch : arch; c_func : Func.t; c_lowered : lowered option }
+
+let compile ?(partition = Dae_core.Decouple.trivial) arch (f : Func.t) =
+  let lowered =
+    match arch with
+    | Sta -> None
+    | Dae | Spec | Oracle ->
+      let mode =
+        if arch = Dae then Dae_core.Pipeline.Dae else Dae_core.Pipeline.Spec
+      in
+      let p = Dae_core.Pipeline.compile ~mode ~partition f in
+      let unit_id = function
+        | `Agu -> Trace.Agu
+        | `Cu -> Trace.Cu
+        | `Au k -> Trace.Au k
+      in
+      Some
+        {
+          l_pipeline = p;
+          l_program = Lower.compile p;
+          l_subscribers =
             List.map
-              (function
-                | `Agu -> Trace.Agu
-                | `Cu -> Trace.Cu
-                | `Au k -> Trace.Au k)
-              subs ))
-        p.Dae_core.Pipeline.load_subscribers
-    in
-    List.iter
-      (fun args ->
-        let golden =
-          golden_run p.Dae_core.Pipeline.original ~args ~mem:golden_mem
-        in
-        let r = Exec.run_lowered lowered ~args ~mem:sim_mem in
-        (match Exec.check_against_golden ~golden_mem ~golden r with
-        | Ok () -> ()
-        | Error msg ->
-          raise
-            (Check_failed
-               (Fmt.str "%s/%s: %s" f.Func.name (arch_name arch) msg)));
-        killed := !killed + r.Exec.killed_stores;
-        committed := !committed + r.Exec.committed_stores;
-        let trs =
-          match arch with
-          | Oracle ->
-            let agu_tr, cu_tr =
-              Timing.oracle_filter r.Exec.agu_trace r.Exec.cu_trace
-            in
-            [| agu_tr; cu_tr |]
-          | _ -> Exec.traces r
-        in
+              (fun (m, subs) -> (m, List.map unit_id subs))
+              p.Dae_core.Pipeline.load_subscribers;
+        }
+  in
+  { c_arch = arch; c_func = f; c_lowered = lowered }
+
+(* What a result reports of the functional half. Kept apart from the
+   golden memory, so that stored runs do not keep that memory alive. *)
+type tally = {
+  memory : Interp.Memory.t; (* STA: the golden memory itself *)
+  mutable killed : int;
+  mutable committed : int;
+}
+
+type exec = { golden_mem : Interp.Memory.t; tally : tally }
+
+let start c mem =
+  let golden_mem = Interp.Memory.copy mem in
+  let memory =
+    match c.c_lowered with
+    | None -> golden_mem
+    | Some _ -> Interp.Memory.copy mem
+  in
+  { golden_mem; tally = { memory; killed = 0; committed = 0 } }
+
+let tally x = x.tally
+let tally_memory t = t.memory
+
+type run = Golden of Interp.result | Traces of Trace.unit_trace array
+
+let execute c x args =
+  (* Pipeline.compile normalizes [c_func] in place: it is the pipeline's
+     [original], the sequential golden model *)
+  let golden = Interp.run c.c_func ~args ~mem:x.golden_mem in
+  match c.c_lowered with
+  | None -> Golden golden
+  | Some l ->
+    let r = Exec.run_lowered l.l_program ~args ~mem:x.tally.memory in
+    (match Exec.check_against_golden ~golden_mem:x.golden_mem ~golden r with
+    | Ok () -> ()
+    | Error msg ->
+      raise
+        (Check_failed
+           (Fmt.str "%s/%s: %s" c.c_func.Func.name (arch_name c.c_arch) msg)));
+    x.tally.killed <- x.tally.killed + r.Exec.killed_stores;
+    x.tally.committed <- x.tally.committed + r.Exec.committed_stores;
+    if c.c_arch = Oracle then
+      let agu, cu = Timing.oracle_filter r.Exec.agu_trace r.Exec.cu_trace in
+      Traces [| agu; cu |]
+    else Traces (Exec.traces r)
+
+let replay ?(w = Area.default_weights) ?(collect = false) ?(record_mem = false)
+    ?max_cycles ?scheduler ~cfg c t (runs : run Seq.t) : result =
+  let invocations = ref 0 and cycles = ref 0 and stats = ref [] in
+  let timelines = ref [] and mem_events = ref [] in
+  let subscribers =
+    match c.c_lowered with Some l -> l.l_subscribers | None -> []
+  in
+  Seq.iteri
+    (fun i run ->
+      incr invocations;
+      match run with
+      | Golden g ->
+        cycles := !cycles + (Sta.cycles_of_run ~cfg c.c_func g).Sta.cycles
+      | Traces trs ->
         let timed =
           Timing.run_units ~cfg ~validate:false ?max_cycles
             ~record_depths:collect ~record_mem ?scheduler ~subscribers trs
@@ -142,41 +154,52 @@ let simulate ?(cfg = Config.default) ?(validate = true)
         if collect then
           timelines :=
             {
-              t_invocation = !inv_index;
+              t_invocation = i;
               t_agu = trs.(0);
               t_aus = Array.sub trs 2 (Array.length trs - 2);
               t_cu = trs.(1);
               t_timing = timed;
             }
-            :: !timelines;
-        incr inv_index)
-      invocations;
-    let total = !killed + !committed in
-    {
-      arch;
-      cycles = !cycles;
-      invocations = List.length invocations;
-      killed_stores = !killed;
-      committed_stores = !committed;
-      misspec_rate =
-        (if total = 0 then 0.0 else float_of_int !killed /. float_of_int total);
-      area =
-        (match arch with
-        | Oracle -> Area.decoupled ~w ~cfg ~ignore_poison:true p
-        | _ -> Area.decoupled ~w ~cfg p);
-      memory = sim_mem;
-      pipeline = Some p;
-      stats = !stats;
-      timelines = List.rev !timelines;
-      mem_events = List.rev !mem_events;
-    }
+            :: !timelines)
+    runs;
+  (* read only now: a streamed [runs] executes as it is consumed *)
+  let total = t.killed + t.committed in
+  let pipeline = Option.map (fun l -> l.l_pipeline) c.c_lowered in
+  {
+    arch = c.c_arch;
+    cycles = !cycles;
+    invocations = !invocations;
+    killed_stores = t.killed;
+    committed_stores = t.committed;
+    misspec_rate =
+      (if total = 0 then 0.0 else float_of_int t.killed /. float_of_int total);
+    area =
+      (match pipeline with
+      | None -> Area.sta ~w c.c_func
+      | Some p ->
+        Area.decoupled ~w ~cfg ~ignore_poison:(c.c_arch = Oracle) p);
+    memory = t.memory;
+    pipeline;
+    stats =
+      (match pipeline with
+      (* the single statically-scheduled unit is never idle: modulo
+         scheduling fills every cycle, so the whole run is Busy *)
+      | None -> [ ("STA", Stats.of_busy !cycles) ]
+      | Some _ -> !stats);
+    timelines = List.rev !timelines;
+    mem_events = List.rev !mem_events;
+  }
 
-(* Convenience: run all four architectures on the same kernel/input. *)
-let simulate_all ?cfg ?w (f : Func.t) ~invocations ~mem :
-    (arch * result) list =
-  List.map
-    (fun arch -> (arch, simulate ?cfg ?w arch f ~invocations ~mem))
-    [ Sta; Dae; Spec; Oracle ]
+(* Streams: each invocation is executed and re-timed before the next one
+   runs, so only one invocation's traces are alive at a time. *)
+let simulate ?(cfg = Config.default) ?(validate = true) ?w ?collect
+    ?record_mem ?max_cycles ?partition ?scheduler (arch : arch) (f : Func.t)
+    ~(invocations : invocation list) ~(mem : Interp.Memory.t) : result =
+  if validate then Config.validate cfg;
+  let c = compile ?partition arch f in
+  let x = start c mem in
+  replay ?w ?collect ?record_mem ?max_cycles ?scheduler ~cfg c x.tally
+    (Seq.map (execute c x) (List.to_seq invocations))
 
 let pp_stats ppf (r : result) =
   Stats.pp_table ~total_cycles:r.cycles ppf r.stats

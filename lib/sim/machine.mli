@@ -53,7 +53,78 @@ type result = {
 
 exception Check_failed of string
 
-(** [collect] (default false) additionally keeps every invocation's traces,
+(** {1 Simulation steps}
+
+    The chain every simulation runs: {!compile} once, {!execute} each
+    invocation (the functional half), {!replay} the executed runs under a
+    configuration (the timing half). {!simulate} streams them; {!Retime}
+    folds the same steps over stored runs. *)
+
+type lowered = {
+  l_pipeline : Dae_core.Pipeline.t;
+  l_program : Lower.t;
+  l_subscribers : (int * Trace.unit_id list) list;
+      (** per memory, the units its load values are delivered to *)
+}
+
+type compiled = {
+  c_arch : arch;
+  c_func : Func.t;  (** the sequential golden model *)
+  c_lowered : lowered option;  (** [None] for {!Sta} *)
+}
+
+val compile :
+  ?partition:Dae_core.Decouple.assignment -> arch -> Func.t -> compiled
+(** Slice ({!Dae_core.Pipeline.compile}) and lower the decoupled
+    architectures; STA compiles nothing. Normalizes [f] in place. *)
+
+type exec
+(** The functional state threaded through an invocation sequence: the
+    golden memory and the {!tally}. *)
+
+type tally
+(** What a result reports of the functional half: the simulated memory
+    and the kill/commit counts so far. Stored runs keep only this, not the
+    golden memory. *)
+
+val start : compiled -> Interp.Memory.t -> exec
+(** Fresh state over copies of the memory; the argument is never mutated. *)
+
+val tally : exec -> tally
+(** Shared, not copied: it keeps counting as [exec] executes further. *)
+
+val tally_memory : tally -> Interp.Memory.t
+
+type run =
+  | Golden of Interp.result  (** STA: the golden run its cycles derive from *)
+  | Traces of Trace.unit_trace array
+      (** decoupled: the unit traces in dense order, ORACLE-filtered *)
+
+val execute : compiled -> exec -> invocation -> run
+(** One invocation's functional half: golden run, lowered co-simulation,
+    golden check, kill/commit counts and, for ORACLE, the trace filter.
+    @raise Check_failed when the run disagrees with the golden model. *)
+
+val replay :
+  ?w:Area.weights ->
+  ?collect:bool ->
+  ?record_mem:bool ->
+  ?max_cycles:int ->
+  ?scheduler:Timing.scheduler ->
+  cfg:Config.t ->
+  compiled ->
+  tally ->
+  run Seq.t ->
+  result
+(** Time every run under [cfg] (no {!Config.validate}) and assemble the
+    result. The kill/commit counts and memory are read from the tally
+    once the sequence is exhausted, so a lazily executed sequence works. *)
+
+(** The steps in one streaming pass: each invocation is executed and
+    re-timed before the next one runs, so only one invocation's traces are
+    alive at a time.
+
+    [collect] (default false) additionally keeps every invocation's traces,
     retire times and channel-depth samples for the timeline exporter — it
     never changes cycles or stats. [validate] (default true) runs
     {!Config.validate} before simulating; deadlock-boundary probes pass
@@ -65,9 +136,8 @@ exception Check_failed of string
     ({!Dae_core.Decouple.run_n}); it requires arch {!Dae} (ignored by
     {!Sta}, rejected by the pipeline for {!Spec}/{!Oracle}) and defaults
     to the classic 2-way split. [scheduler] selects the timing engine's
-    stall-path scheduler (default {!Timing.Event_wheel}; the seed
-    calendar is the bit-identical reference the CI determinism diff
-    replays).
+    stall-path scheduler (default {!Timing.Event_wheel}); the seed
+    calendar is the bit-identical reference the equivalence tests select.
     @raise Invalid_argument on an invalid configuration.
     @raise Check_failed when a decoupled run disagrees with the golden
     model. *)
@@ -85,14 +155,6 @@ val simulate :
   invocations:invocation list ->
   mem:Interp.Memory.t ->
   result
-
-val simulate_all :
-  ?cfg:Config.t ->
-  ?w:Area.weights ->
-  Func.t ->
-  invocations:invocation list ->
-  mem:Interp.Memory.t ->
-  (arch * result) list
 
 val pp_stats : result Fmt.t
 (** The stall-attribution breakdown of {!result.stats} as a table (one

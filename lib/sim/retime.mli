@@ -22,6 +22,11 @@
       qcheck suite in [test/test_retime.ml] pins across the kernel suite
       and randomized CFGs.
 
+    The steps themselves are {!Machine}'s ({!Machine.compile},
+    {!Machine.execute}, {!Machine.replay}): [Machine.simulate] streams
+    them one invocation at a time, this module stores the executed runs
+    in between.
+
     STA is supported through the same interface: {!prepare} stores the
     golden runs, and {!simulate} re-derives cycles via
     {!Sta.cycles_of_run} (its initiation interval does depend on the
@@ -54,8 +59,6 @@ val plan_digest : plan -> string
     invocation sequence and initial memory — the result cache's key folds
     this together with a workload-instance id and {!Config.key}. *)
 
-val arch : plan -> Machine.arch
-
 val pipeline : plan -> Dae_core.Pipeline.t option
 (** The compiled pipeline ([None] for STA) — the sweep engine feeds it to
     the static sizing analyzer without recompiling. *)
@@ -66,8 +69,9 @@ type prepared
     counts, final memory, load subscribers. *)
 
 exception Check_failed of string
-(** Re-raise of {!Machine.Check_failed}: some invocation's functional run
-    disagreed with the sequential golden model. *)
+(** The same exception as {!Machine.Check_failed} (an alias: a handler for
+    either catches both): some invocation's functional run disagreed with
+    the sequential golden model. *)
 
 val prepare :
   plan ->
@@ -85,10 +89,9 @@ val final_memory : prepared -> Interp.Memory.t
 
 val trace_digest : prepared -> string
 (** Digest of the stored per-invocation traces ({!Trace.digest} folded
-    over all units, STA: over golden iteration counts). The sweep
-    engine's sampled cross-checks compare this against a fresh
-    [Machine.simulate ~collect:true] replay to prove the persisted traces
-    are the ones a full co-simulation would have produced. *)
+    over all units, STA: over golden iteration counts). The leakage
+    witness search compares it between two preparations of one plan to
+    tell whether a flipped secret changed the traces at all. *)
 
 val simulate :
   ?validate:bool ->

@@ -116,6 +116,12 @@ let equal_keyed (a : keyed) (b : keyed) =
   List.length a = List.length b
   && List.for_all2 (fun (k1, c1) (k2, c2) -> k1 = k2 && equal c1 c2) a b
 
+let export (keyed : keyed) =
+  List.map
+    (fun (unit, t) ->
+      (unit, List.map (fun c -> (cause_name c, get t c)) all_causes))
+    keyed
+
 let pp_table ~total_cycles ppf (units : keyed) =
   let pct n =
     if total_cycles <= 0 then 0.

@@ -81,6 +81,12 @@ val merge_keyed : keyed -> keyed -> keyed
 
 val equal_keyed : keyed -> keyed -> bool
 
+val export : keyed -> (string * (string * int) list) list
+(** The complete partition as plain data: per unit, every cause in
+    {!all_causes} order, zeros included — a canonical form two independent
+    simulations can be compared on bit-for-bit, and that marshals without
+    the abstract {!t}. *)
+
 val pp_table : total_cycles:int -> keyed Fmt.t
 (** One row per unit: total, then each cause as cycles and percent of
     [total_cycles]. *)

@@ -20,3 +20,8 @@ val to_string : kernel:string -> Machine.result -> string
 
 val write_file : path:string -> kernel:string -> Machine.result -> unit
 (** [path] ["-"] writes to stdout. *)
+
+val escape : string -> string
+(** The body of a JSON string literal: quotes, backslashes and control
+    characters escaped ([\n] as such, the rest as [\u00XX]). The one
+    escaper of every JSON document the repo writes. *)

@@ -8,7 +8,6 @@
 
 open Dae_workloads
 module M = Dae_sim.Machine
-module R = Dae_sim.Retime
 module Cfg = Dae_sim.Config
 module E = Dae_sim.Exec
 module P = Dae_core.Pipeline
@@ -147,8 +146,8 @@ let gen_sound (g : Gen.t) =
             ~invocations:[ g.Gen.args ] ~mem:(g.Gen.mem ())
         with
         | exception
-            ( M.Check_failed _ | R.Check_failed _ | E.Deadlock _
-            | E.Stream_mismatch _ | E.Desync _ ) ->
+            ( M.Check_failed _ | E.Deadlock _ | E.Stream_mismatch _
+            | E.Desync _ ) ->
           true (* the program itself is rejected either way *)
         | r ->
           let sound = (not (Leak.found r)) || not (Taint.clean t) in

@@ -176,14 +176,6 @@ let sc_clean ~label (r : M.result) =
     Alcotest.failf "%s: %d SC violation(s), first: %a" label (List.length vs)
       Model.pp_violation (List.hd vs)
 
-let export_stats keyed =
-  List.map
-    (fun (unit, t) ->
-      ( unit,
-        List.map (fun c -> (Stats.cause_name c, Stats.get t c)) Stats.all_causes
-      ))
-    keyed
-
 let hierarchy_kernel (k : Kernels.t) () =
   let invocations = k.Kernels.invocations () in
   List.iter
@@ -315,8 +307,8 @@ let gen_point_ok (g : G.t) =
                   "retime <> machine at seed %d, %s: %d vs %d cycles (stats \
                    %s)"
                   g.G.seed label fused.M.cycles retimed.M.cycles
-                  (if export_stats fused.M.stats = export_stats retimed.M.stats
-                   then "equal"
+                  (if Stats.equal_keyed fused.M.stats retimed.M.stats then
+                     "equal"
                    else "differ");
               true)
             qcheck_cfgs))

@@ -1,5 +1,6 @@
 (* Trace-driven re-timing, held to bit-identical equivalence with the
-   fused simulation path it factored apart: for every kernel of the test
+   streaming Machine.simulate (same steps, no stored traces): for every
+   kernel of the test
    suite and for randomized generator CFGs, across all four architectures
    and a spread of configurations (including invalid capacity-0 boundary
    probes run with validation off), Retime.prepare-once/simulate-many must
@@ -40,20 +41,12 @@ let cfgs =
     { Cfg.default with Cfg.value_fifo_capacity = 0; store_queue_size = 2 };
   ]
 
-let export_stats keyed =
-  List.map
-    (fun (unit, t) ->
-      ( unit,
-        List.map (fun c -> (Stats.cause_name c, Stats.get t c)) Stats.all_causes
-      ))
-    keyed
-
 type verdict =
   | Done of int * (string * (string * int) list) list * int * int
   | Dead
   | Refused  (** the functional half itself rejects the program *)
 
-let fused_verdict arch func ~invocations ~mem cfg =
+let streamed_verdict arch func ~invocations ~mem cfg =
   match
     M.simulate ~cfg ~validate:false arch (Dae_ir.Func.clone func) ~invocations
       ~mem
@@ -61,7 +54,7 @@ let fused_verdict arch func ~invocations ~mem cfg =
   | r ->
     Done
       ( r.M.cycles,
-        export_stats r.M.stats,
+        Stats.export r.M.stats,
         r.M.killed_stores,
         r.M.committed_stores )
   | exception Timing.Deadlock _ -> Dead
@@ -73,7 +66,7 @@ let retimed_verdict prepared cfg =
   | r ->
     Done
       ( r.M.cycles,
-        export_stats r.M.stats,
+        Stats.export r.M.stats,
         r.M.killed_stores,
         r.M.committed_stores )
   | exception Timing.Deadlock _ -> Dead
@@ -106,7 +99,7 @@ let test_kernel name () =
             Fmt.str "%s/%s@%s" name (M.arch_name arch) (Cfg.key cfg)
           in
           check verdict_t label
-            (fused_verdict arch (k.Kernels.build ()) ~invocations
+            (streamed_verdict arch (k.Kernels.build ()) ~invocations
                ~mem:(k.Kernels.init_mem ()) cfg)
             (retimed_verdict prepared cfg))
         cfgs)
@@ -134,7 +127,7 @@ let gen_retime_equiv (g : G.t) =
       | Some retimed ->
         List.for_all
           (fun cfg ->
-            fused_verdict arch g.G.func ~invocations ~mem:(g.G.mem ()) cfg
+            streamed_verdict arch g.G.func ~invocations ~mem:(g.G.mem ()) cfg
             = retimed cfg)
           cfgs)
     archs

@@ -4,7 +4,8 @@
    across all four architectures and a spread of configurations —
    scratchpad, capacity floors, two memory-hierarchy points (the default
    cache and a starved 1-bank/2-MSHR geometry over a slow DRAM) and
-   invalid capacity-0 boundary probes run with validation off —
+   invalid capacity-0 boundary probes run with validation off — plus
+   paper-scale hist through the default cache hierarchy,
    [Machine.simulate ~scheduler:Event_wheel] must reproduce
    [~scheduler:Seed_calendar]'s cycle counts, complete stall partitions,
    kill/commit counters and deadlock verdicts (message included)
@@ -38,6 +39,9 @@ let starved_geom =
       };
   }
 
+let default_cache =
+  { Cfg.default with Cfg.hierarchy = Cfg.Hierarchy Cfg.default_geom }
+
 (* default; capacity floors; the two hierarchy points; two invalid
    capacity-0 boundary probes (one of them under the cache hierarchy,
    pushing the deadlock path through the wheel's bank/MSHR buckets) *)
@@ -52,7 +56,7 @@ let cfgs =
       load_queue_size = 1;
       store_queue_size = 2;
     };
-    { Cfg.default with Cfg.hierarchy = Cfg.Hierarchy Cfg.default_geom };
+    default_cache;
     { Cfg.default with Cfg.hierarchy = Cfg.Hierarchy starved_geom };
     { Cfg.default with Cfg.request_fifo_capacity = 0 };
     {
@@ -62,14 +66,6 @@ let cfgs =
       store_queue_size = 2;
     };
   ]
-
-let export_stats keyed =
-  List.map
-    (fun (unit, t) ->
-      ( unit,
-        List.map (fun c -> (Stats.cause_name c, Stats.get t c)) Stats.all_causes
-      ))
-    keyed
 
 type verdict =
   | Done of int * (string * (string * int) list) list * int * int
@@ -84,7 +80,7 @@ let verdict ~scheduler arch func ~invocations ~mem cfg =
   | r ->
     Done
       ( r.M.cycles,
-        export_stats r.M.stats,
+        Stats.export r.M.stats,
         r.M.killed_stores,
         r.M.committed_stores )
   | exception Timing.Deadlock msg -> Dead msg
@@ -99,13 +95,13 @@ let pp_verdict ppf = function
 
 let verdict_t = Alcotest.testable pp_verdict ( = )
 
-(* --- test-suite kernels: every arch, every config, both schedulers ------- *)
+(* --- suite kernels: every arch, every config, both schedulers ----------- *)
 
-let test_kernel name () =
+let test_kernel ?(suite = Kernels.test_suite) ?(cfgs = cfgs) name () =
   let k =
-    match Kernels.by_name (Kernels.test_suite ()) name with
+    match Kernels.by_name (suite ()) name with
     | Some k -> k
-    | None -> Alcotest.failf "kernel %s not in test suite" name
+    | None -> Alcotest.failf "kernel %s not in suite" name
   in
   let invocations = k.Kernels.invocations () in
   List.iter
@@ -160,5 +156,13 @@ let () =
   Alcotest.run "wheel"
     [
       ("test-suite kernels", kernel_cases);
+      (* paper-scale inputs through the default cache hierarchy: the
+         point `daec stats --kernel hist --all --mem cache` runs *)
+      ( "paper-scale kernels",
+        [
+          tc "hist, default cache" `Quick
+            (test_kernel ~suite:Kernels.paper_suite
+               ~cfgs:[ default_cache ] "hist");
+        ] );
       ("randomized CFGs", List.map QCheck_alcotest.to_alcotest qcheck_props);
     ]
