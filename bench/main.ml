@@ -72,7 +72,8 @@ type sim_out = {
   o_pcall : int;
   o_killed : int;
   o_committed : int;
-  o_stats : Dae_sim.Stats.keyed; (* per-unit cycle attribution *)
+  o_stats : (string * (string * int) list) list;
+      (* per-unit cycle attribution, Stats.export form *)
   o_check_errors : int; (* soundness-checker diagnostics on the compile *)
   o_check_warnings : int;
   o_min_depths : (string * int) list; (* sizing analyzer minimum per channel *)
@@ -111,8 +112,8 @@ let req ?(cfg = Dae_sim.Config.default) ?partition ~kernel ~arch mk =
     r_mk = mk;
   }
 
-(* config-dependent but simulation-free derivations shared by the fused
-   and re-timed paths *)
+(* config-dependent but simulation-free derivations shared by the
+   streamed and re-timed paths *)
 let pipeline_facts ~cfg (p : Dae_core.Pipeline.t option) =
   let pblk, pcall =
     match p with
@@ -146,40 +147,41 @@ let pipeline_facts ~cfg (p : Dae_core.Pipeline.t option) =
   in
   (pblk, pcall, check_errors, check_warnings, min_depths, sizing_verdict)
 
-let run_req_fused (r : sim_req) : sim_out =
+(* The one [sim_out] builder: [run] simulates and returns the re-timed
+   point, the area and the compiled pipeline; the wall clock and the GC
+   deltas bracket it. A deadlocked point fails the job. *)
+let measure (r : sim_req) run : sim_out =
   let t0 = Unix.gettimeofday () in
   let g0 = Gc.quick_stat () in
-  let k = r.r_mk () in
-  let res =
-    Dae_sim.Machine.simulate ~cfg:r.r_cfg ?partition:r.r_partition r.r_arch
-      (k.Kernels.build ())
-      ~invocations:(k.Kernels.invocations ())
-      ~mem:(k.Kernels.init_mem ())
+  let (p : Dae_sim.Retime.point), (area : Dae_sim.Area.breakdown), pipeline =
+    run ()
   in
-  (match k.Kernels.check res.Dae_sim.Machine.memory with
-  | Ok () -> ()
-  | Error msg ->
-    Fmt.failwith "%s/%s failed its reference check: %s" k.Kernels.name
-      (Dae_sim.Machine.arch_name r.r_arch)
-      msg);
+  let cycles =
+    match p.Dae_sim.Retime.status with
+    | Dae_sim.Retime.Cycles c -> c
+    | Dae_sim.Retime.Deadlock -> Fmt.failwith "%s deadlocked" r.r_key
+  in
   let pblk, pcall, check_errors, check_warnings, min_depths, sizing_verdict =
-    pipeline_facts ~cfg:r.r_cfg res.Dae_sim.Machine.pipeline
+    pipeline_facts ~cfg:r.r_cfg pipeline
   in
+  let killed = p.Dae_sim.Retime.killed in
+  let total = killed + p.Dae_sim.Retime.committed in
   let g1 = Gc.quick_stat () in
   {
     o_kernel = r.r_kernel;
     o_arch = Dae_sim.Machine.arch_name r.r_arch;
     o_cfg = Dae_sim.Config.key r.r_cfg;
-    o_cycles = res.Dae_sim.Machine.cycles;
-    o_misspec = res.Dae_sim.Machine.misspec_rate;
-    o_area_total = res.Dae_sim.Machine.area.Dae_sim.Area.total;
-    o_area_cu = res.Dae_sim.Machine.area.Dae_sim.Area.cu;
-    o_area_agu = res.Dae_sim.Machine.area.Dae_sim.Area.agu;
+    o_cycles = cycles;
+    o_misspec =
+      (if total = 0 then 0.0 else float_of_int killed /. float_of_int total);
+    o_area_total = area.Dae_sim.Area.total;
+    o_area_cu = area.Dae_sim.Area.cu;
+    o_area_agu = area.Dae_sim.Area.agu;
     o_pblk = pblk;
     o_pcall = pcall;
-    o_killed = res.Dae_sim.Machine.killed_stores;
-    o_committed = res.Dae_sim.Machine.committed_stores;
-    o_stats = res.Dae_sim.Machine.stats;
+    o_killed = killed;
+    o_committed = p.Dae_sim.Retime.committed;
+    o_stats = p.Dae_sim.Retime.stats;
     o_check_errors = check_errors;
     o_check_warnings = check_warnings;
     o_min_depths = min_depths;
@@ -193,19 +195,40 @@ let run_req_fused (r : sim_req) : sim_out =
       g1.Gc.major_collections - g0.Gc.major_collections;
   }
 
+let run_req_machine (r : sim_req) : sim_out =
+  measure r (fun () ->
+      let k = r.r_mk () in
+      let res =
+        Dae_sim.Machine.simulate ~cfg:r.r_cfg ?partition:r.r_partition
+          r.r_arch (k.Kernels.build ())
+          ~invocations:(k.Kernels.invocations ())
+          ~mem:(k.Kernels.init_mem ())
+      in
+      (match k.Kernels.check res.Dae_sim.Machine.memory with
+      | Ok () -> ()
+      | Error msg ->
+        Fmt.failwith "%s/%s failed its reference check: %s" k.Kernels.name
+          (Dae_sim.Machine.arch_name r.r_arch)
+          msg);
+      ( Dae_sim.Retime.classify (fun () -> res),
+        res.Dae_sim.Machine.area,
+        res.Dae_sim.Machine.pipeline ))
+
 (* --- hierarchy jobs ride the re-timing engine -------------------------------- *)
 
 (* Every memory-hierarchy job (mem and mlp sections: Hierarchy config,
    decoupled arch) is one kernel × arch functionally executed under
    several cache/DRAM points. Route them through Retime — one prepare per
    (kernel, arch, partition) per domain, each point a cheap trace replay —
-   and memoize the replayed verdicts in the on-disk result cache, so a
-   warm bench run re-times nothing. Retime.simulate is cycle- and
-   partition-identical to the fused Machine.simulate (pinned by
-   test/test_retime.ml), so the "key cycles" goldens cannot drift. *)
+   and memoize the replayed points in the on-disk result cache
+   (Retime.point), so a warm bench run re-times nothing. Retime.simulate
+   is cycle- and partition-identical to the streaming Machine.simulate
+   (pinned by test/test_retime.ml), so the "key cycles" goldens cannot
+   drift. *)
 
 (* set by the driver from --no-cache / --cache-dir before the pool runs *)
 let bench_cache = ref (Dae_sim.Cache.disabled ())
+let cache_dir = ref Dae_sim.Cache.default_dir
 
 let retimeable (r : sim_req) =
   r.r_arch <> Dae_sim.Machine.Sta
@@ -257,98 +280,28 @@ let prepared_for =
         (Dae_sim.Retime.plan_digest plan);
       prepared)
 
-(* on-disk payload of one re-timed hierarchy point; the key pins engine
-   version, plan digest, workload instance and configuration *)
-type retime_point = {
-  rt_cycles : int;
-  rt_killed : int;
-  rt_committed : int;
-  rt_stats : Dae_sim.Stats.keyed;
-}
-
 let suite_tag () = if !quick then "quick/" else "paper/"
 
 let run_req_retimed (r : sim_req) : sim_out =
-  let t0 = Unix.gettimeofday () in
-  let g0 = Gc.quick_stat () in
-  let cache = !bench_cache in
-  let _, plan = plan_for (plan_key r) in
-  let key =
-    Dae_sim.Cache.key
-      [
-        Dae_sim.Cache.version;
-        "retime-point/1";
-        Dae_sim.Retime.plan_digest plan;
-        suite_tag () ^ r.r_kernel;
-        Dae_sim.Config.key r.r_cfg;
-      ]
-  in
-  let rt =
-    match (Dae_sim.Cache.find cache key : retime_point option) with
-    | Some rt -> rt
-    | None ->
-      let res =
-        Dae_sim.Retime.simulate ~cfg:r.r_cfg (prepared_for (plan_key r))
+  measure r (fun () ->
+      let _, plan = plan_for (plan_key r) in
+      let p, _ =
+        Dae_sim.Retime.point ~cache:!bench_cache
+          ~instance:(suite_tag () ^ r.r_kernel)
+          ~cfg:r.r_cfg plan
+          (lazy (prepared_for (plan_key r)))
       in
-      let rt =
-        {
-          rt_cycles = res.Dae_sim.Machine.cycles;
-          rt_killed = res.Dae_sim.Machine.killed_stores;
-          rt_committed = res.Dae_sim.Machine.committed_stores;
-          rt_stats = res.Dae_sim.Machine.stats;
-        }
-      in
-      Dae_sim.Cache.store ~kind:"retime" cache key rt;
-      rt
-  in
-  (* everything else is simulation-free: compile-level facts from the
-     plan, area from the configuration *)
-  let pipeline = Dae_sim.Retime.pipeline plan in
-  let p =
-    match pipeline with Some p -> p | None -> assert false (* not STA *)
-  in
-  let area =
-    match r.r_arch with
-    | Dae_sim.Machine.Oracle ->
-      Dae_sim.Area.decoupled ~cfg:r.r_cfg ~ignore_poison:true p
-    | _ -> Dae_sim.Area.decoupled ~cfg:r.r_cfg p
-  in
-  let pblk, pcall, check_errors, check_warnings, min_depths, sizing_verdict =
-    pipeline_facts ~cfg:r.r_cfg pipeline
-  in
-  let total = rt.rt_killed + rt.rt_committed in
-  let g1 = Gc.quick_stat () in
-  {
-    o_kernel = r.r_kernel;
-    o_arch = Dae_sim.Machine.arch_name r.r_arch;
-    o_cfg = Dae_sim.Config.key r.r_cfg;
-    o_cycles = rt.rt_cycles;
-    o_misspec =
-      (if total = 0 then 0.0
-       else float_of_int rt.rt_killed /. float_of_int total);
-    o_area_total = area.Dae_sim.Area.total;
-    o_area_cu = area.Dae_sim.Area.cu;
-    o_area_agu = area.Dae_sim.Area.agu;
-    o_pblk = pblk;
-    o_pcall = pcall;
-    o_killed = rt.rt_killed;
-    o_committed = rt.rt_committed;
-    o_stats = rt.rt_stats;
-    o_check_errors = check_errors;
-    o_check_warnings = check_warnings;
-    o_min_depths = min_depths;
-    o_sizing_verdict = sizing_verdict;
-    o_wall_s = Unix.gettimeofday () -. t0;
-    o_gc_minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
-    o_gc_major_words = g1.Gc.major_words -. g0.Gc.major_words;
-    o_gc_minor_collections =
-      g1.Gc.minor_collections - g0.Gc.minor_collections;
-    o_gc_major_collections =
-      g1.Gc.major_collections - g0.Gc.major_collections;
-  }
+      (* everything else is simulation-free: compile-level facts from the
+         plan, area from the configuration *)
+      let pipeline = Dae_sim.Retime.pipeline plan in
+      ( p,
+        Dae_sim.Area.decoupled ~cfg:r.r_cfg
+          ~ignore_poison:(r.r_arch = Dae_sim.Machine.Oracle)
+          (Option.get pipeline),
+        pipeline ))
 
 let run_req (r : sim_req) : sim_out =
-  if retimeable r then run_req_retimed r else run_req_fused r
+  if retimeable r then run_req_retimed r else run_req_machine r
 
 (* Filled once by the pool; sections read it through [get]. *)
 let table : (string, sim_out) Hashtbl.t = Hashtbl.create 128
@@ -686,91 +639,66 @@ let ablation_print () =
 
 (* --- channel-sizing sweep: the static analyzer vs the simulator -------------- *)
 
-(* For every paper-suite kernel in both decoupled modes: run the sizing
-   analyzer at the default config, re-simulate at the analyzer's minimum
-   safe depths (must complete deadlock-free within the predicted cycle
-   bound), then decrement the critical channel's class knob below its
-   minimum and confirm the simulator either trips its dynamic deadlock
-   detector or degrades rather than completing faster. *)
+(* For every suite kernel in both decoupled modes: run the sizing analyzer
+   at the default config and check its claim in the simulator
+   (Sizing.validate): the analyzer's minimum safe depths must complete
+   within the predicted cycle bound, and one below the critical channel's
+   minimum must trip the dynamic deadlock detector or run no faster. Any
+   violation fails the section. *)
 let sizing_print () =
+  let module Sizing = Dae_analysis.Sizing in
   Fmt.pr "@.== Channel sizing: static minimums cross-validated in the sim ==@.";
   Fmt.pr "%-6s %-5s %4s %8s %-14s %10s %12s  %s@." "kernel" "mode" "min"
     "matched" "critical" "cyc@min" "bound" "critical at min-1";
   List.iter
     (fun (k : Kernels.t) ->
       List.iter
-        (fun (mname, mode, arch) ->
-          match
-            Dae_core.Pipeline.compile ~mode
-              (Dae_ir.Func.clone ((k.Kernels.build) ()))
-          with
+        (fun (mname, arch) ->
+          match Dae_sim.Retime.plan arch (k.Kernels.build ()) with
           | exception Dae_core.Pipeline.Compile_error e ->
             Fmt.pr "%-6s %-5s compile error: %s@." k.Kernels.name mname e
-          | p -> (
+          | plan -> (
             match
-              Dae_analysis.Sizing.analyze ~cfg:Dae_sim.Config.default p
+              Sizing.analyze ~cfg:Dae_sim.Config.default
+                (Option.get (Dae_sim.Retime.pipeline plan))
             with
             | Error _ ->
               Fmt.pr "%-6s %-5s (segment budget exceeded, skipped)@."
                 k.Kernels.name mname
             | Ok sz ->
-              let fold f init =
-                List.fold_left f init sz.Dae_analysis.Sizing.channels
+              let depth f =
+                List.fold_left (fun a s -> max a (f s)) 1 sz.Sizing.channels
               in
-              let min_max =
-                fold (fun a s -> max a s.Dae_analysis.Sizing.sz_min) 1
+              let v =
+                Sizing.validate sz
+                  (Dae_sim.Retime.prepare plan
+                     ~invocations:(k.Kernels.invocations ())
+                     ~mem:(k.Kernels.init_mem ()))
               in
-              let matched_max =
-                fold (fun a s -> max a s.Dae_analysis.Sizing.sz_matched) 1
-              in
-              (* one functional execution; both the minimum-depth run and
-                 the boundary probe only replay its stored traces *)
-              let prepared =
-                Dae_sim.Retime.prepare
-                  (Dae_sim.Retime.plan arch (k.Kernels.build ()))
-                  ~invocations:(k.Kernels.invocations ())
-                  ~mem:(k.Kernels.init_mem ())
-              in
-              let simulate ?(validate = true) cfg =
-                Dae_sim.Retime.simulate ~validate ~collect:true ~cfg prepared
-              in
-              let r = simulate sz.Dae_analysis.Sizing.min_cfg in
-              let bound =
-                Dae_analysis.Sizing.bound_of_timelines sz
-                  r.Dae_sim.Machine.timelines
-              in
-              if r.Dae_sim.Machine.cycles > bound then
-                Fmt.failwith
-                  "%s (%s): %d cycles at the analyzer's minimum depths \
-                   exceed the predicted bound %d"
-                  k.Kernels.name mname r.Dae_sim.Machine.cycles bound;
+              (match Sizing.violations v with
+              | [] -> ()
+              | vs ->
+                Fmt.failwith "%s (%s): %s" k.Kernels.name mname
+                  (String.concat "; " vs));
+              let cycles, bound = Result.get_ok v.Sizing.v_min in
               let critical, probe =
-                match Dae_analysis.Sizing.critical_decrement sz with
+                match v.Sizing.v_probe with
                 | None -> ("-", "no critical channel")
-                | Some (kind, probe_cfg) -> (
-                  let cname = Dae_analysis.Channel.name kind in
-                  match simulate ~validate:false probe_cfg with
-                  | r' ->
-                    ( cname,
-                      Printf.sprintf "%d cycles (%+.1f%% vs min)"
-                        r'.Dae_sim.Machine.cycles
-                        (100.
-                        *. (float_of_int r'.Dae_sim.Machine.cycles
-                            /. float_of_int r.Dae_sim.Machine.cycles
-                           -. 1.)) )
-                  | exception Dae_sim.Timing.Deadlock _ ->
-                    (cname, "dynamic deadlock (as predicted)")
-                  | exception Invalid_argument _ ->
-                    (cname, "rejected by Config.validate"))
+                | Some p ->
+                  ( Dae_analysis.Channel.name p.Sizing.p_kind,
+                    match p.Sizing.p_outcome with
+                    | Ok c ->
+                      Printf.sprintf "%d cycles (%+.1f%% vs min)" c
+                        (100. *. ((float_of_int c /. float_of_int cycles) -. 1.))
+                    | Error _ -> "dynamic deadlock (as predicted)" )
               in
               Fmt.pr "%-6s %-5s %4d %8d %-14s %10d %12d  %s@." k.Kernels.name
-                mname min_max matched_max critical r.Dae_sim.Machine.cycles
-                bound probe))
-        [
-          ("dae", Dae_core.Pipeline.Dae, Dae_sim.Machine.Dae);
-          ("spec", Dae_core.Pipeline.Spec, Dae_sim.Machine.Spec);
-        ])
-    (Kernels.paper_suite ());
+                mname
+                (depth (fun s -> s.Sizing.sz_min))
+                (depth (fun s -> s.Sizing.sz_matched))
+                critical cycles bound probe))
+        [ ("dae", Dae_sim.Machine.Dae); ("spec", Dae_sim.Machine.Spec) ])
+    (bench_suite ());
   Fmt.pr
     "(analyzer minimums keep every kernel deadlock-free; one step below \
      the critical channel's minimum is the deadlock boundary)@."
@@ -835,10 +763,11 @@ let sweep_summaries : (string * Dae_dse.Sweep.summary) list ref = ref []
    cache directory — the cold pass measures the re-timing engine, the
    warm pass measures the memoization (it must execute nothing and hit on
    every point). STA is excluded: its cycles do not depend on the swept
-   capacities, so every axis collapses to one point. *)
+   capacities, so every axis collapses to one point. The directory is
+   --cache-dir's bench-sweep/ subdirectory, whatever --no-cache says. *)
 let sweep_print () =
   Fmt.pr "@.== Design-space sweep: re-timed, memoized (daec sweep) ==@.";
-  let dir = Filename.concat "_daec_cache" "bench" in
+  let dir = Filename.concat !cache_dir "bench-sweep" in
   let cache () = Dae_sim.Cache.create ~dir () in
   ignore (Dae_sim.Cache.clear (cache ()));
   let workloads =
@@ -1261,18 +1190,18 @@ let write_json ~path ~sections ~domains ~wall_s ~pool ~section_stats
      \"seed_fig6_table1_wall_s\": %.1f },\n"
     bench5_suite_wall_s bench5_suite_jobs bench4_fig6_table1_wall_s
     bench4_suite_wall_s seed_fig6_table1_wall_s;
-  let stats_json (stats : Dae_sim.Stats.keyed) =
-    (* nonzero causes only: the full 11-row vector is mostly zeros *)
+  let stats_json stats =
+    (* nonzero causes only: the full 13-row vector is mostly zeros *)
     String.concat ", "
       (List.map
-         (fun (unit, c) ->
+         (fun (unit, causes) ->
            Printf.sprintf "\"%s\": { %s }" (esc unit)
              (String.concat ", "
                 (List.filter_map
                    (fun (cause, n) ->
                      if n = 0 then None
                      else Some (Printf.sprintf "\"%s\": %d" cause n))
-                   (Dae_sim.Stats.to_list c))))
+                   causes)))
          stats)
   in
   p "  \"results\": [\n";
@@ -1337,7 +1266,6 @@ let () =
   let json_path = ref "BENCH_10.json" in
   let expect_path = ref None in
   let no_cache = ref false in
-  let cache_dir = ref Dae_sim.Cache.default_dir in
   let names = ref [] in
   let add_section s =
     if List.exists (fun sec -> sec.s_name = s) sections_all then

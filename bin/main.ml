@@ -991,125 +991,64 @@ let sizing_json ~kernel ~mode (sz : Dae_analysis.Sizing.t) =
       [ ("deadlock_cycles", Json.List (List.map (fun c -> Json.Str c) cycles)) ]
     | Sizing.Deadlock_free -> [])
 
-(* memoized outcome of the min-1 boundary probe (see validate_sim) *)
-type probe_outcome =
-  | P_cycles of int
-  | P_deadlock of string
-  | P_rejected of string
-
 let size_cmd =
+  let module Sizing = Dae_analysis.Sizing in
   let modes_of = function
-    | `Dae -> [ Dae_core.Pipeline.Dae ]
-    | `Spec -> [ Dae_core.Pipeline.Spec ]
-    | `Both -> [ Dae_core.Pipeline.Dae; Dae_core.Pipeline.Spec ]
+    | `Dae -> [ ("dae", Dae_sim.Machine.Dae) ]
+    | `Spec -> [ ("spec", Dae_sim.Machine.Spec) ]
+    | `Both -> [ ("dae", Dae_sim.Machine.Dae); ("spec", Dae_sim.Machine.Spec) ]
   in
-  let mode_name = function
-    | Dae_core.Pipeline.Dae -> "dae"
-    | Dae_core.Pipeline.Spec -> "spec"
-  in
-  (* Optional cross-validation against the simulator: the analyzer's
-     minimum depths must complete within the predicted cycle bound, and
-     the critical channel at minimum-1 must be rejected by
-     Config.validate and then (validation off) either trip the dynamic
-     deadlock detector or run no faster than the minimum. Both probes
-     ride the re-timing engine: the functional execution runs (lazily) at
-     most once and each boundary configuration only replays the stored
-     traces. Probe outcomes are memoized in the on-disk result cache —
-     keyed by plan digest × base/probe configurations × path budget — so
-     a warm `size --validate` prints the same report without executing a
-     single instruction. *)
-  let validate_sim ~cache ~cfg ~path_limit ~mode
-      (k : Dae_workloads.Kernels.t) (sz : Dae_analysis.Sizing.t) : bool =
-    let arch =
-      match mode with
-      | Dae_core.Pipeline.Dae -> Dae_sim.Machine.Dae
-      | Dae_core.Pipeline.Spec -> Dae_sim.Machine.Spec
-    in
-    let plan =
-      Dae_sim.Retime.plan arch (k.Dae_workloads.Kernels.build ())
-    in
-    let prepared =
-      lazy
-        (Dae_sim.Retime.prepare plan
-           ~invocations:(k.Dae_workloads.Kernels.invocations ())
-           ~mem:(k.Dae_workloads.Kernels.init_mem ()))
-    in
-    let simulate ?(validate = true) ~collect cfg =
-      Dae_sim.Retime.simulate ~validate ~collect ~cfg (Lazy.force prepared)
-    in
-    let vkey sub cfg' =
+  (* Optional cross-validation against the simulator: Sizing.validate
+     replays at the analyzer's minimum depths and one below the critical
+     channel's, and Sizing.violations judges the outcome. The replays
+     ride the re-timing engine, and the validation is memoized in the
+     on-disk result cache, keyed by plan digest × configuration × the
+     analyzer's report, so a warm `size --validate` prints the same
+     report without executing a single instruction. *)
+  let validate_sim ~cache ~cfg plan (k : Dae_workloads.Kernels.t) sz =
+    let key =
       Dae_sim.Cache.key
         [
           Dae_sim.Cache.version;
-          "size-validate/1";
-          sub;
+          "size-validate/2";
           Dae_sim.Retime.plan_digest plan;
           "paper/" ^ k.Dae_workloads.Kernels.name;
-          string_of_int path_limit;
           Dae_sim.Config.key cfg;
-          Dae_sim.Config.key cfg';
+          Fmt.str "%a" Sizing.pp sz;
         ]
     in
-    let ok = ref true in
-    let min_cfg = sz.Dae_analysis.Sizing.min_cfg in
-    (let key = vkey "min" min_cfg in
-     let outcome =
-       match (Dae_sim.Cache.find cache key : (int * int) option) with
-       | Some cb -> Ok cb
-       | None -> (
-         match simulate ~collect:true min_cfg with
-         | r ->
-           let b =
-             Dae_analysis.Sizing.bound_of_timelines sz
-               r.Dae_sim.Machine.timelines
-           in
-           let cb = (r.Dae_sim.Machine.cycles, b) in
-           Dae_sim.Cache.store ~kind:"size-validate" cache key cb;
-           Ok cb
-         | exception e -> Error e)
-     in
-     match outcome with
-     | Ok (cycles, b) ->
-       let fits = cycles <= b in
-       if not fits then ok := false;
-       Fmt.pr "  sim at min depths: %d cycles (bound %d) %s@." cycles b
-         (if fits then "ok" else "EXCEEDS BOUND")
-     | Error e ->
-       ok := false;
-       Fmt.pr "  sim at min depths: FAILED (%s)@." (Printexc.to_string e));
-    (match Dae_analysis.Sizing.critical_decrement sz with
-    | None -> ()
-    | Some (kind, probe_cfg) -> (
-      let cname = Dae_analysis.Channel.name kind in
-      let key = vkey "probe" probe_cfg in
-      let outcome =
-        match (Dae_sim.Cache.find cache key : probe_outcome option) with
-        | Some o -> Ok o
-        | None -> (
-          let keep o =
-            Dae_sim.Cache.store ~kind:"size-validate" cache key o;
-            Ok o
-          in
-          match simulate ~validate:false ~collect:false probe_cfg with
-          | r -> keep (P_cycles r.Dae_sim.Machine.cycles)
-          | exception Dae_sim.Timing.Deadlock msg -> keep (P_deadlock msg)
-          | exception Invalid_argument msg -> keep (P_rejected msg)
-          | exception e -> Error e)
-      in
-      match outcome with
-      | Ok (P_cycles c) ->
-        Fmt.pr "  sim at %s min-1: %d cycles (no deadlock: stall shifts)@."
-          cname c
-      | Ok (P_deadlock msg) ->
-        Fmt.pr "  sim at %s min-1: dynamic deadlock reproduced (%s)@." cname
-          msg
-      | Ok (P_rejected msg) ->
-        Fmt.pr "  sim at %s min-1: rejected (%s)@." cname msg
-      | Error e ->
-        ok := false;
-        Fmt.pr "  sim at %s min-1: unexpected failure (%s)@." cname
-          (Printexc.to_string e)));
-    !ok
+    let v =
+      match (Dae_sim.Cache.find cache key : Sizing.validation option) with
+      | Some v -> v
+      | None ->
+        let v =
+          Sizing.validate sz
+            (Dae_sim.Retime.prepare plan
+               ~invocations:(k.Dae_workloads.Kernels.invocations ())
+               ~mem:(k.Dae_workloads.Kernels.init_mem ()))
+        in
+        Dae_sim.Cache.store ~kind:"size-validate" cache key v;
+        v
+    in
+    (match v.Sizing.v_min with
+    | Ok (cycles, bound) ->
+      Fmt.pr "  sim at min depths: %d cycles (bound %d) %s@." cycles bound
+        (if cycles <= bound then "ok" else "EXCEEDS BOUND")
+    | Error msg -> Fmt.pr "  sim at min depths: dynamic deadlock (%s)@." msg);
+    Option.iter
+      (fun (p : Sizing.probe) ->
+        let cname = Dae_analysis.Channel.name p.Sizing.p_kind in
+        match p.Sizing.p_outcome with
+        | Ok c ->
+          Fmt.pr "  sim at %s min-1: %d cycles (no deadlock: stall shifts)@."
+            cname c
+        | Error msg ->
+          Fmt.pr "  sim at %s min-1: dynamic deadlock reproduced (%s)@."
+            cname msg)
+      v.Sizing.v_probe;
+    let violations = Sizing.violations v in
+    List.iter (Fmt.pr "  VIOLATION: %s@.") violations;
+    violations = []
   in
   let run file kernel all_kernels mode json validate sq lq fifo_lat req_fifo
       val_fifo stv_fifo hierarchy no_cache cache_dir path_limit =
@@ -1124,35 +1063,34 @@ let size_cmd =
     let json_items = ref [] in
     let process name f krec =
       List.iter
-        (fun mode ->
-          match Dae_core.Pipeline.compile ~mode (Dae_ir.Func.clone f) with
+        (fun (mname, arch) ->
+          match Dae_sim.Retime.plan arch (Dae_ir.Func.clone f) with
           | exception Dae_core.Pipeline.Compile_error e ->
             failed := true;
-            Fmt.epr "%s (%s): compile error@.  %s@." name (mode_name mode) e
-          | p -> (
-            match Dae_analysis.Sizing.analyze ~path_limit ~cfg p with
+            Fmt.epr "%s (%s): compile error@.  %s@." name mname e
+          | plan -> (
+            let p = Option.get (Dae_sim.Retime.pipeline plan) in
+            match Sizing.analyze ~path_limit ~cfg p with
             | Error (b : Dae_analysis.Segments.budget) ->
               failed := true;
               Fmt.epr
                 "%s (%s): sizing skipped — %d blocks explored from bb%d \
                  exceed the segment budget of %d@."
-                name (mode_name mode) b.Dae_analysis.Segments.explored
+                name mname b.Dae_analysis.Segments.explored
                 b.Dae_analysis.Segments.start b.Dae_analysis.Segments.limit
             | Ok sz ->
               if json then
                 json_items :=
-                  sizing_json ~kernel:name ~mode:(mode_name mode) sz
-                  :: !json_items
+                  sizing_json ~kernel:name ~mode:mname sz :: !json_items
               else begin
-                Fmt.pr "%s (%s): %a" name (mode_name mode)
-                  Dae_analysis.Sizing.pp sz;
+                Fmt.pr "%s (%s): %a" name mname Sizing.pp sz;
                 match krec with
                 | Some k when validate ->
-                  if not (validate_sim ~cache ~cfg ~path_limit ~mode k sz)
-                  then failed := true
+                  if not (validate_sim ~cache ~cfg plan k sz) then
+                    failed := true
                 | _ -> ()
               end;
-              if Dae_analysis.Sizing.deadlocks sz then failed := true))
+              if Sizing.deadlocks sz then failed := true))
         (modes_of mode)
     in
     let dispatched =
@@ -1194,8 +1132,9 @@ let size_cmd =
          & info [ "validate" ]
              ~doc:"Cross-validate against the simulator: run at the \
                    computed minimum depths (must meet the cycle bound) and \
-                   at minimum-1 on the critical channel (must deadlock, be \
-                   rejected, or stall harder). Needs --kernel data.")
+                   at minimum-1 on the critical channel (must deadlock at \
+                   capacity 0, otherwise deadlock or run no faster). Exits \
+                   1 on any violation. Needs --kernel data.")
   in
   let path_limit_arg =
     Arg.(value & opt int Dae_core.Poison.default_path_limit
@@ -1544,9 +1483,8 @@ let cache_cmd =
       Fmt.pr "dir:     %s@.engine:  %s@.entries: %d@.bytes:   %d@."
         cache_dir Dae_sim.Cache.version d.Dae_sim.Cache.entries
         d.Dae_sim.Cache.bytes;
-      (* prepared-plan stamps and re-timed hierarchy points are cheap and
-         plentiful; sweep points are the expensive ones — report the
-         populations separately *)
+      (* re-timed points (sweep-point), size --validate reports and
+         prepared-plan stamps (plan): report the populations separately *)
       List.iter
         (fun (kind, (n, b)) ->
           Fmt.pr "  %-14s %d entr%s, %d bytes@." kind n
@@ -1567,9 +1505,10 @@ let cache_cmd =
     (Cmd.info "cache"
        ~doc:
          "Inspect (stats) or empty (clear) the on-disk re-timing result \
-          cache used by `daec sweep'. Entries are content-addressed and \
-          versioned by the timing-engine stamp, so clearing is never \
-          required for correctness.")
+          cache used by `daec sweep', `daec size --validate' and the bench \
+          harness. Entries are content-addressed and versioned by the \
+          timing-engine stamp, so clearing is never required for \
+          correctness.")
     Term.(const run $ action_arg $ cache_dir_arg)
 
 let () =

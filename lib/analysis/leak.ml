@@ -12,13 +12,11 @@
 module M = Dae_sim.Machine
 module R = Dae_sim.Retime
 module Cfg = Dae_sim.Config
-module Stats = Dae_sim.Stats
 module Trace = Dae_sim.Trace
-module Timing = Dae_sim.Timing
 module E = Dae_sim.Exec
 module Interp = Dae_ir.Interp
 
-type outcome = Cycles of int | Deadlock
+type outcome = R.status = Cycles of int | Deadlock
 
 type divergence = {
   d_cfg : string;
@@ -93,20 +91,15 @@ let machine_reads arch f ~invocations ~mem =
   seen
 
 let replay prepared cfg =
-  match R.simulate ~validate:false ~cfg prepared with
-  | r -> (Cycles r.M.cycles, Some (Stats.export r.M.stats), Some r.M.memory)
-  | exception Timing.Deadlock _ -> (Deadlock, None, None)
+  R.classify (fun () -> R.simulate ~validate:false ~cfg prepared)
 
 (* the two final memories must agree everywhere except the flipped cell —
    the dynamic confirmation that the cell really is architecturally dead *)
 let pure ~arr ~idx base_mem flip_mem =
-  match (base_mem, flip_mem) with
-  | Some bm, Some fm ->
-    let fm' = Interp.Memory.copy fm in
-    (try Interp.Memory.set fm' arr idx (Interp.Memory.get bm arr idx)
-     with Invalid_argument _ -> ());
-    Interp.Memory.equal bm fm'
-  | _ -> true (* a deadlocked point has no final memory to compare *)
+  let fm' = Interp.Memory.copy flip_mem in
+  (try Interp.Memory.set fm' arr idx (Interp.Memory.get base_mem arr idx)
+   with Invalid_argument _ -> ());
+  Interp.Memory.equal base_mem fm'
 
 let search ?(budget = 8) ?(masks = [ 1; 8; 64 ]) ?(points = default_points) arch
     f ~invocations ~mem =
@@ -149,22 +142,23 @@ let search ?(budget = 8) ?(masks = [ 1; 8; 64 ]) ?(points = default_points) arch
       let ok = ref true in
       List.iter
         (fun (label, cfg) ->
-          let b_out, b_stats, b_mem = replay base_prepared cfg in
-          let f_out, f_stats, f_mem = replay flip_prepared cfg in
-          if not (pure ~arr ~idx b_mem f_mem) then ok := false
+          let b = replay base_prepared cfg and fl = replay flip_prepared cfg in
+          (* a deadlocked point has no final memory to compare *)
+          if b.R.status <> Deadlock && fl.R.status <> Deadlock
+             && not
+                  (pure ~arr ~idx (R.final_memory base_prepared)
+                     (R.final_memory flip_prepared))
+          then ok := false
           else begin
-            let cycles_differ = b_out <> f_out in
-            let stats_differ =
-              match (b_stats, f_stats) with
-              | Some a, Some b -> a <> b
-              | _ -> b_out <> f_out
-            in
+            let cycles_differ = b.R.status <> fl.R.status in
+            (* a deadlocked point has an empty partition *)
+            let stats_differ = b.R.stats <> fl.R.stats in
             if cycles_differ || stats_differ then
               divs :=
                 {
                   d_cfg = label;
-                  d_base = b_out;
-                  d_flip = f_out;
+                  d_base = b.R.status;
+                  d_flip = fl.R.status;
                   d_cycles_differ = cycles_differ;
                   d_stats_differ = stats_differ;
                 }

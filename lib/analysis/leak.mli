@@ -19,7 +19,7 @@
     by default the scratchpad baseline *and* the default cache hierarchy,
     where set/bank/row indexing gives secrets a much wider timing channel. *)
 
-type outcome = Cycles of int | Deadlock
+type outcome = Dae_sim.Retime.status = Cycles of int | Deadlock
 
 type divergence = {
   d_cfg : string;  (** configuration-point label, e.g. "cache" *)

@@ -669,6 +669,66 @@ let critical_decrement (t : t) : (Channel.kind * Config.t) option =
     let class_min = Channel.capacity t.min_cfg kind in
     Some (kind, Channel.with_capacity t.min_cfg kind (class_min - 1))
 
+type probe = {
+  p_kind : Channel.kind;
+  p_capacity : int;
+  p_outcome : (int, string) result;
+}
+
+type validation = {
+  v_min : (int * int, string) result;
+  v_probe : probe option;
+}
+
+let validate (t : t) prepared =
+  let replay ?validate ?collect cfg f =
+    match Dae_sim.Retime.simulate ?validate ?collect ~cfg prepared with
+    | r -> Ok (f r)
+    | exception Timing.Deadlock msg -> Error msg
+  in
+  {
+    v_min =
+      replay ~collect:true t.min_cfg (fun r ->
+          ( r.Dae_sim.Machine.cycles,
+            bound_of_timelines t r.Dae_sim.Machine.timelines ));
+    v_probe =
+      Option.map
+        (fun (kind, cfg) ->
+          {
+            p_kind = kind;
+            p_capacity = Channel.capacity cfg kind;
+            p_outcome =
+              replay ~validate:false cfg (fun r -> r.Dae_sim.Machine.cycles);
+          })
+        (critical_decrement t);
+  }
+
+let violations (v : validation) =
+  let at_min =
+    match v.v_min with
+    | Error msg -> [ "deadlock at the minimum depths: " ^ msg ]
+    | Ok (cycles, bound) when cycles > bound ->
+      [ Fmt.str "%d cycles at the minimum depths exceed the bound %d" cycles
+          bound ]
+    | Ok _ -> []
+  in
+  let at_probe =
+    match v.v_probe with
+    | None -> []
+    | Some p -> (
+      let where =
+        Fmt.str "%s at capacity %d" (Channel.name p.p_kind) p.p_capacity
+      in
+      match (p.p_outcome, v.v_min) with
+      | Ok c, _ when p.p_capacity = 0 ->
+        [ Fmt.str "%s completes in %d cycles" where c ]
+      | Ok c, Ok (at_min, _) when c < at_min ->
+        [ Fmt.str "%s runs faster than at the minimum depths (%d < %d \
+                   cycles)" where c at_min ]
+      | _ -> [])
+  in
+  at_min @ at_probe
+
 let pp ppf (t : t) =
   (match t.verdict with
   | Deadlock_free ->

@@ -75,7 +75,34 @@ val deadlocks : t -> bool
 val critical_decrement : t -> (Channel.kind * Config.t) option
 (** The boundary probe: [min_cfg] with the critical channel's class knob
     at (class minimum − 1) — the configuration the simulator must either
-    refuse ({!Config.validate}), dynamically deadlock on, or slow down on.
-    [None] when there is no critical channel. *)
+    dynamically deadlock on or run no faster on ({!violations}). [None]
+    when there is no critical channel. *)
+
+(** {1 The claim, checked in the simulator} *)
+
+type probe = {
+  p_kind : Channel.kind;  (** the critical channel *)
+  p_capacity : int;  (** its class capacity in the probe: minimum − 1 *)
+  p_outcome : (int, string) result;
+      (** [Ok cycles], or [Error] with the engine's deadlock message *)
+}
+
+type validation = {
+  v_min : (int * int, string) result;
+      (** at [min_cfg]: [Ok (cycles, bound)] with {!bound_of_timelines}'s
+          bound, or [Error] with the engine's deadlock message *)
+  v_probe : probe option;
+      (** at {!critical_decrement}; [None] without a critical channel *)
+}
+
+val validate : t -> Dae_sim.Retime.prepared -> validation
+(** Replay a run of the analyzed pipeline twice: at [min_cfg], collecting
+    timelines for the bound, and at {!critical_decrement} without
+    {!Dae_sim.Config.validate}. *)
+
+val violations : validation -> string list
+(** The verdict on a validation, one message per broken rule: the minima
+    complete within the bound; a capacity-0 probe deadlocks; any other
+    probe deadlocks or runs no faster than at the minima. *)
 
 val pp : Format.formatter -> t -> unit

@@ -14,8 +14,6 @@ module Config = Dae_sim.Config
 module Cache = Dae_sim.Cache
 module Retime = Dae_sim.Retime
 module Runner = Dae_sim.Runner
-module Stats = Dae_sim.Stats
-module Timing = Dae_sim.Timing
 module Kernels = Dae_workloads.Kernels
 
 (* --- grid ----------------------------------------------------------------- *)
@@ -137,7 +135,7 @@ let workload_of_kernel ~suite (k : Kernels.t) =
 
 (* --- points ---------------------------------------------------------------- *)
 
-type status = Cycles of int | Deadlock
+type status = Retime.status = Cycles of int | Deadlock
 
 type point = {
   pt_workload : string;
@@ -149,17 +147,6 @@ type point = {
   pt_stats : (string * (string * int) list) list;
   pt_cached : bool;
 }
-
-(* On-disk payload. The key already pins workload instance, plan digest,
-   configuration and engine version; the payload is just the result. *)
-type cached_point = {
-  cp_status : status;
-  cp_killed : int;
-  cp_committed : int;
-  cp_stats : (string * (string * int) list) list;
-}
-
-let payload_tag = "sweep-point/1"
 
 type summary = {
   sm_points : int;
@@ -188,15 +175,15 @@ type job_out = {
   j_sizing_violations : string list;
 }
 
-let point_of_cached w arch cfg_key (cp : cached_point) ~cached =
+let point_of w arch cfg_key (p : Retime.point) ~cached =
   {
     pt_workload = w.w_name;
     pt_arch = arch;
     pt_cfg = cfg_key;
-    pt_status = cp.cp_status;
-    pt_killed = cp.cp_killed;
-    pt_committed = cp.cp_committed;
-    pt_stats = cp.cp_stats;
+    pt_status = p.Retime.status;
+    pt_killed = p.Retime.killed;
+    pt_committed = p.Retime.committed;
+    pt_stats = p.Retime.stats;
     pt_cached = cached;
   }
 
@@ -206,31 +193,22 @@ let point_of_cached w arch cfg_key (cp : cached_point) ~cached =
    poisoned cache entry. *)
 let cross_check w (cfg, (pt : point)) =
   let full =
-    match
-      Machine.simulate ~cfg ~validate:false pt.pt_arch w.w_func
-        ~invocations:w.w_invocations ~mem:w.w_mem
-    with
-    | r ->
-      {
-        cp_status = Cycles r.Machine.cycles;
-        cp_killed = r.Machine.killed_stores;
-        cp_committed = r.Machine.committed_stores;
-        cp_stats = Stats.export r.Machine.stats;
-      }
-    | exception Timing.Deadlock _ ->
-      { cp_status = Deadlock; cp_killed = 0; cp_committed = 0; cp_stats = [] }
+    Retime.classify (fun () ->
+        Machine.simulate ~cfg ~validate:false pt.pt_arch w.w_func
+          ~invocations:w.w_invocations ~mem:w.w_mem)
   in
   let where =
     Fmt.str "%s/%s@%s" w.w_name (Machine.arch_name pt.pt_arch) pt.pt_cfg
   in
-  match (pt.pt_status, full.cp_status) with
+  match (pt.pt_status, full.Retime.status) with
   | Deadlock, Deadlock -> Ok ()
   | Cycles a, Cycles b when a <> b ->
     Error (Fmt.str "%s: re-timed %d cycles, fresh %d" where a b)
   | Cycles _, Cycles _ ->
-    if pt.pt_killed <> full.cp_killed || pt.pt_committed <> full.cp_committed
+    if pt.pt_killed <> full.Retime.killed
+       || pt.pt_committed <> full.Retime.committed
     then Error (Fmt.str "%s: kill/commit counts diverge" where)
-    else if pt.pt_stats <> full.cp_stats then
+    else if pt.pt_stats <> full.Retime.stats then
       Error (Fmt.str "%s: stall partitions diverge" where)
     else Ok ()
   | Cycles c, Deadlock ->
@@ -259,42 +237,11 @@ let run_job ~cache ~base ~check ~sizing_check ~cfgs (w, arch) : job_out =
   in
   let points =
     List.map
-      (fun cfg ->
-        let cfg_key = Config.key cfg in
-        let key =
-          Cache.key
-            [
-              Cache.version;
-              payload_tag;
-              Retime.plan_digest plan;
-              w.w_instance;
-              cfg_key;
-            ]
+      (fun (cfg, cfg_key) ->
+        let p, cached =
+          Retime.point ~cache ~instance:w.w_instance ~cfg plan prepared
         in
-        match (Cache.find cache key : cached_point option) with
-        | Some cp -> (cfg, point_of_cached w arch cfg_key cp ~cached:true)
-        | None ->
-          let cp =
-            match
-              Retime.simulate ~validate:false ~cfg (Lazy.force prepared)
-            with
-            | r ->
-              {
-                cp_status = Cycles r.Machine.cycles;
-                cp_killed = r.Machine.killed_stores;
-                cp_committed = r.Machine.committed_stores;
-                cp_stats = Stats.export r.Machine.stats;
-              }
-            | exception Timing.Deadlock _ ->
-              {
-                cp_status = Deadlock;
-                cp_killed = 0;
-                cp_committed = 0;
-                cp_stats = [];
-              }
-          in
-          Cache.store ~kind:"sweep-point" cache key cp;
-          (cfg, point_of_cached w arch cfg_key cp ~cached:false))
+        (cfg, point_of w arch cfg_key p ~cached))
       cfgs
   in
   (* Sampled equivalence audit: [check] points spread over the grid,
@@ -356,7 +303,8 @@ let counters_diff (a : Cache.counters) (b : Cache.counters) : Cache.counters =
 
 let run ?domains ?(base = Config.default) ?(check = 1) ?(sizing_check = true)
     ~cache ~axes ~(archs : Machine.arch list) (workloads : workload list) : t =
-  let cfgs = grid ~base axes in
+  (* keyed once per grid, not once per job *)
+  let cfgs = List.map (fun c -> (c, Config.key c)) (grid ~base axes) in
   let before = Cache.counters cache in
   let jobs =
     Array.of_list

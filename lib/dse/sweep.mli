@@ -88,7 +88,7 @@ val workload_of_kernel : suite:string -> Dae_workloads.Kernels.t -> workload
 
 (** {1 Points and results} *)
 
-type status = Cycles of int | Deadlock
+type status = Dae_sim.Retime.status = Cycles of int | Deadlock
 (** A point either completes in a cycle count or deadlocks (possible only
     at capacity-0 axes or, if the sizing analyzer is wrong, above them). *)
 

@@ -1,13 +1,13 @@
 (** Content-addressed on-disk result cache.
 
-    `daec sweep` (and the re-timed [size --validate] path) memoize timing
-    results across processes: a cache key digests everything the result
-    depends on — the lowered program ({!Lower.digest}), the workload
-    instance, the architecture, the configuration ({!Config.key}) and the
-    engine version — so equal keys are interchangeable results and stale
-    entries are impossible by construction. Bumping {!version} (any change
-    to Exec/Timing/Lower semantics) retires every prior entry without a
-    migration.
+    {!Retime.point} (behind `daec sweep` and the bench's hierarchy jobs)
+    and `daec size --validate` memoize timing results across processes:
+    a cache key digests everything the result depends on — the lowered
+    program ({!Lower.digest}), the workload instance, the architecture,
+    the configuration ({!Config.key}) and the engine version — so equal
+    keys are interchangeable results and stale entries are impossible by
+    construction. Bumping {!version} (any change to Exec/Timing/Lower
+    semantics) retires every prior entry without a migration.
 
     Entries live under [dir]/[k₀k₁]/[key].entry where [k₀k₁] are the first
     two hex digits of the key (sharding keeps directories small). Each
@@ -16,9 +16,10 @@
     digest before trusting a byte, deletes anything that fails, and
     reports it as corrupt — a damaged cache degrades to recomputation,
     never to wrong answers. The [kind] token classifies the entry for
-    [daec cache stats] ({!disk_stats.by_kind}: re-timed hierarchy points,
-    sweep points, prepared-plan stamps, …); headers written before kinds
-    existed have three tokens and read back as {!default_kind}.
+    [daec cache stats] ({!disk_stats.by_kind}: re-timed points,
+    [size --validate] reports, prepared-plan stamps); headers written
+    before kinds existed have three tokens and read back as
+    {!default_kind}.
 
     Writes go to a temp file in the same directory and are published with
     [Sys.rename], so concurrent writers (pool domains, parallel CI jobs)
@@ -58,9 +59,10 @@ val find : t -> string -> 'a option
     miss or a corrupt/truncated entry (which is counted and removed).
 
     The payload is [Marshal]led: the type ['a] is {e not} checked at
-    read time, so every distinct payload type must fold a distinguishing
-    tag into its key (the sweep engine folds {!version} plus a
-    per-payload format tag). *)
+    read time, so every distinct payload type must fold {!version} and a
+    tag of its own into its key: {!Retime.point} (["sweep-point/1"]),
+    [daec size --validate]'s [Sizing.validation] (["size-validate/2"])
+    and the bench's plan stamps (["plan-stamp/1"]). *)
 
 val default_kind : string
 (** ["result"] — the kind recorded when {!store} is not given one, and
@@ -93,7 +95,7 @@ type disk_stats = {
   bytes : int;
   by_kind : (string * (int * int)) list;
       (** kind -> (entries, bytes), sorted by kind — separates re-timed
-          hierarchy points and prepared-plan stamps from sweep points *)
+          points from validation reports and prepared-plan stamps *)
 }
 
 val disk_stats : t -> disk_stats

@@ -73,3 +73,39 @@ let simulate ?(validate = true) ?w ?collect ?record_mem ?max_cycles
   if validate then Config.validate cfg;
   Machine.replay ?w ?collect ?record_mem ?max_cycles ~cfg
     pr.pr_plan.pl_compiled pr.pr_tally (Array.to_seq pr.pr_runs)
+
+type status = Cycles of int | Deadlock
+
+type point = {
+  status : status;
+  killed : int;
+  committed : int;
+  stats : (string * (string * int) list) list;
+}
+
+let classify simulate =
+  match simulate () with
+  | r ->
+    {
+      status = Cycles r.Machine.cycles;
+      killed = r.Machine.killed_stores;
+      committed = r.Machine.committed_stores;
+      stats = Stats.export r.Machine.stats;
+    }
+  | exception Timing.Deadlock _ ->
+    { status = Deadlock; killed = 0; committed = 0; stats = [] }
+
+let point ~cache ~instance ~cfg plan prepared =
+  let key =
+    Cache.key
+      [ Cache.version; "sweep-point/1"; plan.pl_digest; instance;
+        Config.key cfg ]
+  in
+  match (Cache.find cache key : point option) with
+  | Some p -> (p, true)
+  | None ->
+    let p =
+      classify (fun () -> simulate ~validate:false ~cfg (Lazy.force prepared))
+    in
+    Cache.store ~kind:"sweep-point" cache key p;
+    (p, false)

@@ -111,3 +111,37 @@ val simulate :
     [~validate:false] to re-time under a rejected configuration.
     @raise Invalid_argument on an invalid configuration (when [validate]).
     @raise Timing.Deadlock when the configuration deadlocks the replay. *)
+
+(** {1 Re-timed points}
+
+    What one configuration comes to, in the form the result cache stores.
+    [daec sweep], the bench's hierarchy jobs and the leakage witness
+    search read their replays through it. *)
+
+type status = Cycles of int | Deadlock
+
+type point = {
+  status : status;
+  killed : int;  (** kill/commit counts; 0 on a deadlock *)
+  committed : int;
+  stats : (string * (string * int) list) list;
+      (** the stall partition ({!Stats.export}); [[]] on a deadlock *)
+}
+
+val classify : (unit -> Machine.result) -> point
+(** Run a simulation and classify it: a {!Timing.Deadlock} becomes
+    [Deadlock], any other exception propagates. *)
+
+val point :
+  cache:Cache.t ->
+  instance:string ->
+  cfg:Config.t ->
+  plan ->
+  prepared Lazy.t ->
+  point * bool
+(** The memoized point of [plan] on workload [instance] (the cache
+    identity of its invocations and memory) at [cfg], and whether it was
+    served from [cache]. A miss forces [prepared] and re-times without
+    {!Config.validate}, so capacity-0 probes work. The key folds
+    {!Cache.version}, the payload tag ["sweep-point/1"], {!plan_digest},
+    [instance] and {!Config.key}. *)

@@ -100,12 +100,13 @@ let test_mm_dag_boundary () =
     check Alcotest.bool "mm deadlock-free at defaults" false
       (Sz.deadlocks sz);
     let prepared = prepare ~partition:pa.Pt.assignment k in
-    let rmin = R.simulate ~collect:true ~cfg:sz.Sz.min_cfg prepared in
-    (match k.Kernels.check rmin.M.memory with
+    (match k.Kernels.check (R.final_memory prepared) with
     | Ok () -> ()
-    | Error e -> Alcotest.failf "mm at min depths: %s" e);
-    check Alcotest.bool "mm cycles within bound" true
-      (rmin.M.cycles <= Sz.bound_of_timelines sz rmin.M.timelines);
+    | Error e -> Alcotest.failf "mm reference check: %s" e);
+    let v = Sz.validate sz prepared in
+    check (Alcotest.list Alcotest.string) "mm sizing violations" []
+      (Sz.violations v);
+    let cycles_at_min, _ = Result.get_ok v.Sz.v_min in
     (* one step below any class minimum is the boundary *)
     let knobs =
       List.sort_uniq compare
@@ -143,7 +144,7 @@ let test_mm_dag_boundary () =
           match R.simulate ~validate:false ~cfg:probe prepared with
           | r' ->
             check Alcotest.bool (knob ^ " min-1 no faster") true
-              (r'.M.cycles >= rmin.M.cycles)
+              (r'.M.cycles >= cycles_at_min)
           | exception Dae_sim.Timing.Deadlock _ -> ())
       knobs
 

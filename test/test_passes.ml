@@ -351,87 +351,6 @@ let licm_preserves_semantics =
       ignore (Interp.run f ~args:g.Dae_workloads.Gen.args ~mem:mem2);
       Interp.Memory.equal mem1 mem2)
 
-(* --- CSE ------------------------------------------------------------------------------ *)
-
-let test_cse_eliminates_duplicates () =
-  let f =
-    Parser.parse
-      {|
-      func c(n: %0) {
-      bb0:
-        %1 = mul %0, 3
-        %2 = mul %0, 3
-        %3 = mul 3, %0
-        %4 = add %1, %2
-        %5 = add %4, %3
-        ret %5
-      }
-      |}
-  in
-  let n = Cse.run f in
-  check Alcotest.int "two duplicates (incl. commuted) eliminated" 2 n;
-  Verify.check_exn f;
-  let r =
-    Interp.run f ~args:[ ("n", Types.Vint 5) ] ~mem:(Interp.Memory.create [])
-  in
-  check Alcotest.bool "value preserved (45)" true
-    (r.Interp.ret = Some (Types.Vint 45))
-
-let test_cse_respects_dominance_scope () =
-  (* the same expression in two sibling arms must NOT be unified: neither
-     dominates the other *)
-  let f =
-    Parser.parse
-      {|
-      func s(n: %0) {
-      bb0:
-        %1 = cmp slt %0, 5
-        br %1, bb1, bb2
-      bb1:
-        %2 = add %0, 7
-        store a[0], %2 !mem0
-        br bb3
-      bb2:
-        %3 = add %0, 7
-        store a[1], %3 !mem1
-        br bb3
-      bb3:
-        ret
-      }
-      |}
-  in
-  check Alcotest.int "sibling expressions kept" 0 (Cse.run f);
-  Verify.check_exn f
-
-let test_cse_cleans_fw_after_licm () =
-  let k = Dae_workloads.Kernels.fw ~n:4 () in
-  let f = k.Dae_workloads.Kernels.build () in
-  let mem1 = k.Dae_workloads.Kernels.init_mem () in
-  let mem2 = k.Dae_workloads.Kernels.init_mem () in
-  ignore (Interp.run f ~args:[ ("n", Types.Vint 4) ] ~mem:mem1);
-  ignore (Licm.run f);
-  let n = Cse.run f in
-  check Alcotest.bool "fw's duplicated i*n unified" true (n >= 1);
-  Verify.check_exn f;
-  ignore (Interp.run f ~args:[ ("n", Types.Vint 4) ] ~mem:mem2);
-  check Alcotest.bool "semantics preserved" true (Interp.Memory.equal mem1 mem2)
-
-let cse_preserves_semantics =
-  QCheck.Test.make ~name:"cse preserves interpreter semantics" ~count:60
-    QCheck.small_nat
-    (fun seed ->
-      let g = Dae_workloads.Gen.generate ~seed ~inner_loops:true () in
-      let f = g.Dae_workloads.Gen.func in
-      let mem1 = g.Dae_workloads.Gen.mem () in
-      let mem2 = g.Dae_workloads.Gen.mem () in
-      ignore (Interp.run f ~args:g.Dae_workloads.Gen.args ~mem:mem1);
-      ignore (Cse.run f);
-      (match Verify.check f with
-      | Ok () -> ()
-      | Error _ -> QCheck.Test.fail_report "verifier rejected CSE output");
-      ignore (Interp.run f ~args:g.Dae_workloads.Gen.args ~mem:mem2);
-      Interp.Memory.equal mem1 mem2)
-
 (* --- DOT export --------------------------------------------------------------------- *)
 
 let test_dot_export_structure () =
@@ -531,13 +450,6 @@ let () =
           tc "leaves variant code" `Quick test_licm_leaves_variant_code;
           tc "memory ops stay" `Quick test_licm_never_moves_memory_ops;
         ] );
-      ( "cse",
-        [
-          tc "duplicates eliminated" `Quick test_cse_eliminates_duplicates;
-          tc "dominance scope respected" `Quick
-            test_cse_respects_dominance_scope;
-          tc "fw after licm" `Quick test_cse_cleans_fw_after_licm;
-        ] );
       ("dot", [ tc "export structure" `Quick test_dot_export_structure ]);
       ( "vector (§10)",
         [
@@ -550,5 +462,5 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ fold_preserves_semantics; select_preserves_semantics;
             if_convert_preserves_semantics; licm_preserves_semantics;
-            cse_preserves_semantics; test_vector_width_never_slower ] );
+            test_vector_width_never_slower ] );
     ]

@@ -15,8 +15,6 @@ module M = Dae_sim.Machine
 module R = Dae_sim.Retime
 module C = Dae_sim.Cache
 module Cfg = Dae_sim.Config
-module Stats = Dae_sim.Stats
-module Timing = Dae_sim.Timing
 module E = Dae_sim.Exec
 module Sweep = Dae_dse.Sweep
 module G = Gen
@@ -42,38 +40,27 @@ let cfgs =
   ]
 
 type verdict =
-  | Done of int * (string * (string * int) list) list * int * int
-  | Dead
+  | Point of R.point
   | Refused  (** the functional half itself rejects the program *)
 
 let streamed_verdict arch func ~invocations ~mem cfg =
   match
-    M.simulate ~cfg ~validate:false arch (Dae_ir.Func.clone func) ~invocations
-      ~mem
+    R.classify (fun () ->
+        M.simulate ~cfg ~validate:false arch (Dae_ir.Func.clone func)
+          ~invocations ~mem)
   with
-  | r ->
-    Done
-      ( r.M.cycles,
-        Stats.export r.M.stats,
-        r.M.killed_stores,
-        r.M.committed_stores )
-  | exception Timing.Deadlock _ -> Dead
-  | exception (E.Deadlock _ | E.Stream_mismatch _ | E.Desync _) -> Refused
-  | exception M.Check_failed _ -> Refused
+  | p -> Point p
+  | exception
+      (E.Deadlock _ | E.Stream_mismatch _ | E.Desync _ | M.Check_failed _) ->
+    Refused
 
 let retimed_verdict prepared cfg =
-  match R.simulate ~validate:false ~cfg prepared with
-  | r ->
-    Done
-      ( r.M.cycles,
-        Stats.export r.M.stats,
-        r.M.killed_stores,
-        r.M.committed_stores )
-  | exception Timing.Deadlock _ -> Dead
+  Point (R.classify (fun () -> R.simulate ~validate:false ~cfg prepared))
 
 let pp_verdict ppf = function
-  | Done (c, _, k, m) -> Fmt.pf ppf "done(%d cyc, %d killed, %d committed)" c k m
-  | Dead -> Fmt.pf ppf "deadlock"
+  | Point { R.status = R.Cycles c; killed; committed; _ } ->
+    Fmt.pf ppf "done(%d cyc, %d killed, %d committed)" c killed committed
+  | Point { R.status = R.Deadlock; _ } -> Fmt.pf ppf "deadlock"
   | Refused -> Fmt.pf ppf "refused"
 
 let verdict_t = Alcotest.testable pp_verdict ( = )
@@ -310,6 +297,103 @@ let cache_concurrent_writers () =
           check Alcotest.int "no torn entries observed" 0 corrupt)
         results)
 
+(* --- memoized re-timed points ------------------------------------------------ *)
+
+let point_t =
+  Alcotest.testable
+    (fun ppf (p : R.point) -> pp_verdict ppf (Point p))
+    ( = )
+
+let hist_plan arch =
+  match Kernels.by_name (Kernels.test_suite ()) "hist" with
+  | Some k ->
+    let plan = R.plan arch (k.Kernels.build ()) in
+    ( plan,
+      fun () ->
+        R.prepare plan
+          ~invocations:(k.Kernels.invocations ())
+          ~mem:(k.Kernels.init_mem ()) )
+  | None -> Alcotest.fail "hist not in test suite"
+
+(* a hit must be served without the functional execution *)
+let unforced = lazy (Alcotest.fail "a cache hit forced the prepared run")
+
+let point_miss_then_hit () =
+  with_cache_dir (fun dir ->
+      let cache = C.create ~dir () in
+      let plan, prepare = hist_plan M.Spec in
+      let prepared = lazy (prepare ()) in
+      let cold, cold_hit =
+        R.point ~cache ~instance:"hist" ~cfg:Cfg.default plan prepared
+      in
+      check Alcotest.bool "first lookup misses" false cold_hit;
+      check point_t "miss == direct re-time"
+        (R.classify (fun () ->
+             R.simulate ~validate:false ~cfg:Cfg.default (prepare ())))
+        cold;
+      let warm, warm_hit =
+        R.point ~cache ~instance:"hist" ~cfg:Cfg.default plan unforced
+      in
+      check Alcotest.bool "second lookup hits" true warm_hit;
+      check point_t "hit == stored point" cold warm;
+      let c = C.counters cache in
+      check (Alcotest.pair Alcotest.int Alcotest.int) "hits, misses" (1, 1)
+        (c.C.hits, c.C.misses))
+
+(* the key folds the plan, the instance and the configuration: changing
+   any one of them is a miss that re-times *)
+let point_key_components () =
+  with_cache_dir (fun dir ->
+      let cache = C.create ~dir () in
+      let spec, prepare_spec = hist_plan M.Spec in
+      let dae, prepare_dae = hist_plan M.Dae in
+      let tight = { Cfg.default with Cfg.value_fifo_capacity = 1 } in
+      let lookup what ~instance ~cfg plan prepare =
+        let forced = ref false in
+        let prepared =
+          lazy
+            (forced := true;
+             prepare ())
+        in
+        let _, hit = R.point ~cache ~instance ~cfg plan prepared in
+        check Alcotest.bool (what ^ ": miss") false hit;
+        check Alcotest.bool (what ^ ": miss re-times") true !forced
+      in
+      lookup "first point" ~instance:"hist" ~cfg:Cfg.default spec prepare_spec;
+      lookup "other instance" ~instance:"hist-2" ~cfg:Cfg.default spec
+        prepare_spec;
+      lookup "other config" ~instance:"hist" ~cfg:tight spec prepare_spec;
+      lookup "other plan" ~instance:"hist" ~cfg:Cfg.default dae prepare_dae;
+      List.iter
+        (fun (what, instance, cfg, plan) ->
+          check Alcotest.bool (what ^ ": hit on repeat") true
+            (snd (R.point ~cache ~instance ~cfg plan unforced)))
+        [
+          ("first point", "hist", Cfg.default, spec);
+          ("other instance", "hist-2", Cfg.default, spec);
+          ("other config", "hist", tight, spec);
+          ("other plan", "hist", Cfg.default, dae);
+        ])
+
+(* a capacity-0 probe skips Config.validate, deadlocks, and the deadlock
+   is stored and served like any other point *)
+let point_deadlock_cached () =
+  with_cache_dir (fun dir ->
+      let cache = C.create ~dir () in
+      let plan, prepare = hist_plan M.Dae in
+      let cfg = { Cfg.default with Cfg.request_fifo_capacity = 0 } in
+      let dead =
+        { R.status = R.Deadlock; killed = 0; committed = 0; stats = [] }
+      in
+      let cold, cold_hit =
+        R.point ~cache ~instance:"hist" ~cfg plan (lazy (prepare ()))
+      in
+      check Alcotest.bool "first lookup misses" false cold_hit;
+      check point_t "capacity 0 deadlocks" dead cold;
+      let warm, warm_hit = R.point ~cache ~instance:"hist" ~cfg plan unforced in
+      check Alcotest.bool "deadlock served from the cache" true warm_hit;
+      check point_t "cached deadlock" dead warm)
+
 let () =
   let kernel_cases =
     List.map
@@ -329,5 +413,11 @@ let () =
           tc "corrupted entries recomputed" `Quick cache_corruption;
           tc "zero-length and truncated entries" `Quick cache_damaged_entries;
           tc "concurrent writers, one key" `Quick cache_concurrent_writers;
+        ] );
+      ( "re-timed points",
+        [
+          tc "miss then hit, same point" `Quick point_miss_then_hit;
+          tc "plan, instance and config in the key" `Quick point_key_components;
+          tc "capacity-0 deadlock cached" `Quick point_deadlock_cached;
         ] );
     ]

@@ -7,12 +7,15 @@
    boundary exactly: one step below the critical channel's minimum the
    simulator either trips its dynamic deadlock detector (capacity 0,
    which Config.validate would reject up front) or runs no faster than at
-   the minimum. The same soundness statement is a qcheck property over
-   the §6 randomized kernel generator. *)
+   the minimum. Sizing.validate runs (b) and (c) and Sizing.violations
+   judges them; the same statement is a qcheck property over the §6
+   randomized kernel generator, and each branch of the verdict rule is
+   tested on hand-built outcomes. *)
 
 open Dae_workloads
 module G = Gen
 module M = Dae_sim.Machine
+module R = Dae_sim.Retime
 module S = Dae_sim.Stats
 module P = Dae_core.Pipeline
 module Sz = Dae_analysis.Sizing
@@ -20,26 +23,22 @@ module Ch = Dae_analysis.Channel
 
 let tc = Alcotest.test_case
 let check = Alcotest.check
-let modes = [ ("dae", P.Dae, M.Dae); ("spec", P.Spec, M.Spec) ]
+let modes = [ ("dae", M.Dae); ("spec", M.Spec) ]
 
-let sim ?(validate = true) ?(collect = false) ~cfg arch (k : Kernels.t) =
-  M.simulate ~cfg ~validate ~collect arch
-    (k.Kernels.build ())
-    ~invocations:(k.Kernels.invocations ())
-    ~mem:(k.Kernels.init_mem ())
+let suite_kernel name =
+  match Kernels.by_name (Kernels.test_suite ()) name with
+  | Some k -> k
+  | None -> Alcotest.failf "kernel %s not in test suite" name
 
-(* --- per-kernel: analyze, rerun at the minimum, probe the boundary ----------- *)
+(* --- per-kernel: analyze, validate in the simulator ------------------------- *)
 
 let test_kernel name () =
-  let k =
-    match Kernels.by_name (Kernels.test_suite ()) name with
-    | Some k -> k
-    | None -> Alcotest.failf "kernel %s not in test suite" name
-  in
+  let k = suite_kernel name in
   List.iter
-    (fun (mname, mode, arch) ->
+    (fun (mname, arch) ->
       let label what = Printf.sprintf "%s/%s %s" name mname what in
-      let p = P.compile ~mode (k.Kernels.build ()) in
+      let plan = R.plan arch (k.Kernels.build ()) in
+      let p = Option.get (R.pipeline plan) in
       match Sz.analyze ~cfg:Dae_sim.Config.default p with
       | Error _ -> Alcotest.failf "%s: segment budget exceeded" (label "analyze")
       | Ok sz ->
@@ -47,8 +46,6 @@ let test_kernel name () =
         check Alcotest.bool (label "deadlock-free at defaults") false
           (Sz.deadlocks sz);
         check Alcotest.bool (label "has channels") true (sz.Sz.channels <> []);
-        check Alcotest.bool (label "names a critical channel") true
-          (sz.Sz.critical <> None);
         List.iter
           (fun (s : Sz.sized) ->
             let n = Ch.name s.Sz.sz_chan.Ch.kind in
@@ -58,58 +55,128 @@ let test_kernel name () =
               true
               (s.Sz.sz_matched >= s.Sz.sz_min))
           sz.Sz.channels;
-        (* the simulator completes at the minimum depths, inside the bound,
-           with the correct result and an exact stall partition *)
-        let r = sim ~collect:true ~cfg:sz.Sz.min_cfg arch k in
-        (match k.Kernels.check r.M.memory with
+        let prepared =
+          R.prepare plan
+            ~invocations:(k.Kernels.invocations ())
+            ~mem:(k.Kernels.init_mem ())
+        in
+        (match k.Kernels.check (R.final_memory prepared) with
         | Ok () -> ()
         | Error msg -> Alcotest.failf "%s: %s" (label "reference check") msg);
-        let bound = Sz.bound_of_timelines sz r.M.timelines in
-        check Alcotest.bool
-          (label (Printf.sprintf "cycles %d within bound %d" r.M.cycles bound))
-          true (r.M.cycles <= bound);
+        (* the minimum depths complete inside the bound, and one below
+           the critical channel's minimum is the boundary *)
+        let v = Sz.validate sz prepared in
+        check (Alcotest.list Alcotest.string) (label "sizing violations") []
+          (Sz.violations v);
+        (* an exact stall partition at the minimum depths *)
+        let r = R.simulate ~cfg:sz.Sz.min_cfg prepared in
         List.iter
           (fun (u, c) ->
             check Alcotest.int (label (u ^ " partitions")) r.M.cycles
               (S.total c))
           r.M.stats;
-        (* one below the critical channel's minimum is the boundary *)
-        (match Sz.critical_decrement sz with
+        match Sz.critical_decrement sz with
         | None -> Alcotest.failf "%s: no critical channel" (label "probe")
-        | Some (kind, probe_cfg) ->
+        | Some (kind, probe_cfg) when Ch.capacity probe_cfg kind = 0 ->
           let cname = Ch.name kind in
-          if Ch.capacity probe_cfg kind = 0 then begin
-            (* validation rejects the config... *)
-            (match Dae_sim.Config.validate probe_cfg with
-            | () ->
-              Alcotest.failf "%s: capacity 0 passed Config.validate"
-                (label cname)
-            | exception Invalid_argument _ -> ());
-            (* ...the analyzer proves the deadlock statically... *)
-            (match Sz.analyze ~cfg:probe_cfg p with
-            | Ok sz' ->
-              check Alcotest.bool
-                (label (cname ^ " static deadlock at min-1"))
-                true (Sz.deadlocks sz')
-            | Error _ ->
-              Alcotest.failf "%s: segment budget exceeded" (label "reanalyze"));
-            (* ...and the engine's dynamic detector agrees *)
-            match sim ~validate:false ~cfg:probe_cfg arch k with
-            | (_ : M.result) ->
-              Alcotest.failf "%s: expected a dynamic deadlock at min-1"
-                (label cname)
-            | exception Dae_sim.Timing.Deadlock _ -> ()
-          end
-          else
-            (* still feasible: strictly fewer slots can only stall harder *)
-            match sim ~validate:false ~cfg:probe_cfg arch k with
-            | r' ->
-              check Alcotest.bool
-                (label (cname ^ " min-1 is no faster"))
-                true
-                (r'.M.cycles >= r.M.cycles)
-            | exception Dae_sim.Timing.Deadlock _ -> ()))
+          (* validation rejects the config... *)
+          (match Dae_sim.Config.validate probe_cfg with
+          | () ->
+            Alcotest.failf "%s: capacity 0 passed Config.validate"
+              (label cname)
+          | exception Invalid_argument _ -> ());
+          (* ...and the analyzer proves the deadlock statically *)
+          (match Sz.analyze ~cfg:probe_cfg p with
+          | Ok sz' ->
+            check Alcotest.bool
+              (label (cname ^ " static deadlock at min-1"))
+              true (Sz.deadlocks sz')
+          | Error _ ->
+            Alcotest.failf "%s: segment budget exceeded" (label "reanalyze"))
+        | Some _ -> ())
     modes
+
+(* --- the verdict rule, on hand-built outcomes -------------------------------- *)
+
+let test_violations () =
+  let sz =
+    match
+      Sz.analyze ~cfg:Dae_sim.Config.default
+        (P.compile ~mode:P.Spec ((suite_kernel "thr").Kernels.build ()))
+    with
+    | Ok sz -> sz
+    | Error _ -> Alcotest.fail "thr: segment budget exceeded"
+  in
+  let kind =
+    match sz.Sz.critical with
+    | Some kind -> kind
+    | None -> Alcotest.fail "thr: no critical channel"
+  in
+  let verdict what broken v_min capacity outcome =
+    check Alcotest.int what broken
+      (List.length
+         (Sz.violations
+            {
+              Sz.v_min;
+              v_probe =
+                Some
+                  { Sz.p_kind = kind; p_capacity = capacity; p_outcome = outcome };
+            }))
+  in
+  let fits = Ok (100, 200) and stuck = Error "timing deadlock" in
+  verdict "capacity 0 deadlocks" 0 fits 0 stuck;
+  verdict "capacity 1 runs no faster" 0 fits 1 (Ok 100);
+  verdict "capacity 1 deadlocks" 0 fits 1 stuck;
+  verdict "deadlock at the minima" 1 stuck 0 stuck;
+  verdict "cycles above the bound" 1 (Ok (300, 200)) 0 stuck;
+  verdict "capacity 0 completes" 1 fits 0 (Ok 150);
+  verdict "capacity 1 runs faster" 1 fits 1 (Ok 90)
+
+(* --- what validate records ---------------------------------------------------- *)
+
+let test_validate_records () =
+  let k = suite_kernel "thr" in
+  let plan = R.plan M.Spec (k.Kernels.build ()) in
+  let sz =
+    match Sz.analyze ~cfg:Dae_sim.Config.default (Option.get (R.pipeline plan))
+    with
+    | Ok sz -> sz
+    | Error _ -> Alcotest.fail "thr: segment budget exceeded"
+  in
+  let prepared =
+    R.prepare plan
+      ~invocations:(k.Kernels.invocations ())
+      ~mem:(k.Kernels.init_mem ())
+  in
+  let v = Sz.validate sz prepared in
+  (* the minima: this replay's cycles and the bound of its timelines *)
+  let r = R.simulate ~collect:true ~cfg:sz.Sz.min_cfg prepared in
+  check
+    (Alcotest.result (Alcotest.pair Alcotest.int Alcotest.int) Alcotest.string)
+    "v_min" (Ok (r.M.cycles, Sz.bound_of_timelines sz r.M.timelines)) v.Sz.v_min;
+  (* the probe: the critical channel, one below its class minimum *)
+  match (sz.Sz.critical, v.Sz.v_probe) with
+  | Some kind, Some p ->
+    check Alcotest.string "probe channel" (Ch.name kind) (Ch.name p.Sz.p_kind);
+    check Alcotest.int "probe capacity"
+      (Ch.capacity sz.Sz.min_cfg kind - 1)
+      p.Sz.p_capacity;
+    check Alcotest.bool "capacity-0 probe deadlocks" true
+      (p.Sz.p_capacity > 0 || Result.is_error p.Sz.p_outcome);
+    (* a probe that beats the minima is reported against its channel and
+       capacity *)
+    let faster = Ok (r.M.cycles - 1) in
+    let where = Fmt.str "%s at capacity %d" (Ch.name kind) p.Sz.p_capacity in
+    (match
+       Sz.violations { v with Sz.v_probe = Some { p with Sz.p_outcome = faster } }
+     with
+    | [ msg ] ->
+      check Alcotest.bool ("names the probe: " ^ msg) true
+        (String.starts_with ~prefix:where msg)
+    | msgs ->
+      Alcotest.failf "expected one violation, got %d" (List.length msgs))
+  | None, _ -> Alcotest.fail "thr: no critical channel"
+  | Some _, None -> Alcotest.fail "thr: critical channel but no probe"
 
 (* --- Config.validate: the satellite contract --------------------------------- *)
 
@@ -152,13 +219,13 @@ let test_config_validate () =
     bad
 
 let test_entry_points_validate () =
-  let k =
-    match Kernels.by_name (Kernels.test_suite ()) "thr" with
-    | Some k -> k
-    | None -> Alcotest.fail "thr not in test suite"
-  in
+  let k = suite_kernel "thr" in
   let cfg = { Dae_sim.Config.default with Dae_sim.Config.fifo_latency = 0 } in
-  (match sim ~cfg M.Spec k with
+  (match
+     M.simulate ~cfg M.Spec (k.Kernels.build ())
+       ~invocations:(k.Kernels.invocations ())
+       ~mem:(k.Kernels.init_mem ())
+   with
   | (_ : M.result) -> Alcotest.fail "Machine.simulate accepted fifo_latency 0"
   | exception Invalid_argument _ -> ());
   let tr u = Dae_sim.Trace.empty u in
@@ -174,35 +241,25 @@ let test_entry_points_validate () =
 
 let gen_sizing_sound (g : G.t) =
   List.for_all
-    (fun (_, mode, arch) ->
-      match P.compile ~mode (Dae_ir.Func.clone g.G.func) with
+    (fun (_, arch) ->
+      match R.plan arch (Dae_ir.Func.clone g.G.func) with
       | exception P.Compile_error _ -> true
-      | p -> (
-        match Sz.analyze ~cfg:Dae_sim.Config.default p with
+      | plan -> (
+        match
+          Sz.analyze ~cfg:Dae_sim.Config.default
+            (Option.get (R.pipeline plan))
+        with
         | Error _ -> true (* analyzer declines past its segment budget *)
         | Ok sz ->
-          let simulate ?(validate = true) cfg =
-            M.simulate ~cfg ~validate ~collect:true arch g.G.func
-              ~invocations:[ g.G.args ] ~mem:(g.G.mem ())
-          in
           (not (Sz.deadlocks sz))
           && (sz.Sz.channels = [] || sz.Sz.critical <> None)
           &&
-          let r = simulate sz.Sz.min_cfg in
-          r.M.cycles <= Sz.bound_of_timelines sz r.M.timelines
-          &&
-          (match Sz.critical_decrement sz with
-          | None -> sz.Sz.channels = []
-          | Some (kind, probe_cfg) ->
-            if Ch.capacity probe_cfg kind = 0 then
-              match simulate ~validate:false probe_cfg with
-              | (_ : M.result) -> false (* min-1 must not complete *)
-              | exception Dae_sim.Timing.Deadlock _ -> true
-            else
-              (* a tighter-but-legal critical channel never speeds us up *)
-              match simulate ~validate:false probe_cfg with
-              | r' -> r'.M.cycles >= r.M.cycles
-              | exception Dae_sim.Timing.Deadlock _ -> true)))
+          let v =
+            Sz.validate sz
+              (R.prepare plan ~invocations:[ g.G.args ] ~mem:(g.G.mem ()))
+          in
+          Sz.violations v = [] && (v.Sz.v_probe <> None || sz.Sz.channels = [])
+        ))
     modes
 
 let qcheck_props =
@@ -231,5 +288,10 @@ let () =
           (fun (k : Kernels.t) ->
             tc k.Kernels.name `Quick (test_kernel k.Kernels.name))
           (Kernels.test_suite ()) );
+      ( "verdict",
+        [
+          tc "each rule, passing and broken" `Quick test_violations;
+          tc "validate records both replays" `Quick test_validate_records;
+        ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_props);
     ]
